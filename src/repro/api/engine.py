@@ -1,10 +1,11 @@
 """The :class:`MotifEngine` — one front door to the paper's workflows.
 
 An engine is bound to one hypergraph and lazily builds and **caches** the
-artifacts every workflow needs: the projected graph (Algorithm 1), the CSR
-views (cached on the hypergraph itself), and the hyperwedge population used
-by MoCHy-A+. Running ``count()`` then ``profile()`` then ``compare()`` on the
-same engine therefore projects exactly once, where the legacy free functions
+artifacts every workflow needs: the projected graph (Algorithm 1) and the CSR
+views (cached on the hypergraph itself); MoCHy-A+ samples hyperwedges
+straight from the projection. Running ``count()`` then ``profile()`` then
+``compare()`` on the same engine therefore projects exactly once, where the
+legacy free functions
 re-projected per call. Deterministic results (exact counts, seeded sampling
 runs) are additionally memoized per spec, so a profile reuses the counts of a
 previous ``count()`` with the same configuration.
@@ -80,10 +81,7 @@ from repro.counting.parallel import (
     count_approx_wedge_sampling_parallel,
     count_exact_parallel,
 )
-from repro.counting.runner import (
-    ALGORITHM_EDGE_SAMPLING,
-    ALGORITHM_WEDGE_SAMPLING,
-)
+from repro.counting.runner import ALGORITHM_EDGE_SAMPLING
 from repro.counting.variance import compute_overlap_statistics, variance_comparison
 from repro.counting.wedge_sampling import count_approx_wedge_sampling
 from repro.exceptions import SpecError
@@ -216,8 +214,6 @@ class MotifEngine:
         self._kernel = kernel
         self._projection = projection
         self._projection_builds = 0
-        self._hyperwedges: Optional[List[Tuple[int, int]]] = None
-        self._lazy_hyperwedges: Optional[List[Tuple[int, int]]] = None
         self._count_cache: Dict[CountSpec, CountResult] = {}
         self._null_cache: Dict[Tuple, NullModelCounts] = {}
         self._store = resolve_store(store)
@@ -283,35 +279,20 @@ class MotifEngine:
         return self._projection_builds
 
     def hyperwedges(self) -> List[Tuple[int, int]]:
-        """The cached hyperwedge list ``∧`` (lexicographic order).
+        """A fresh hyperwedge list ``∧`` of the projection (lexicographic order).
 
-        Returns a copy; the engine's internal list also serves as the
-        sampling population for MoCHy-A+, so handing it out by reference
-        would let callers corrupt subsequent counts.
+        ``O(|∧|)``: MoCHy-A+ never calls this, it samples positions of the
+        same order through the projection's ``hyperwedges_at``.
         """
-        return list(self._hyperwedge_cache())
-
-    def _hyperwedge_cache(self) -> List[Tuple[int, int]]:
-        if self._hyperwedges is None:
-            stored = self._stored_hyperwedges()
-            if stored is not None:
-                # Served whole from the store: the projection itself may
-                # never need to be built for a wedge-sampling run.
-                self._hyperwedges = stored
-            else:
-                self._hyperwedges = self.projection.hyperwedge_list()
-                self._persist_hyperwedges(self._hyperwedges)
-        return self._hyperwedges
+        return self.projection.hyperwedge_list()
 
     def clear_cache(self) -> None:
-        """Drop the cached projection, hyperwedge lists and memoized results.
+        """Drop the cached projection and memoized results.
 
         Only this engine's private caches are cleared; an attached artifact
         store keeps its entries (use :meth:`ArtifactStore.gc` to compact it).
         """
         self._projection = None
-        self._hyperwedges = None
-        self._lazy_hyperwedges = None
         self._count_cache.clear()
         self._null_cache.clear()
 
@@ -355,18 +336,7 @@ class MotifEngine:
                 return replace(result, from_cache=True, cache_tier=tier)
         hypergraph = self._static()
         provider, projection_seconds, projection_cached = self._counting_projection(spec)
-        wedges: Optional[List[Tuple[int, int]]] = None
-        if spec.algorithm == ALGORITHM_WEDGE_SAMPLING and spec.num_workers == 1:
-            if provider is self._projection:
-                wedges = self._hyperwedge_cache()
-            else:
-                # Lazy providers are per-call, but the hyperwedge set they
-                # enumerate depends only on the hypergraph — cache it so
-                # repeated lazy runs don't re-pay the full enumeration.
-                if self._lazy_hyperwedges is None:
-                    self._lazy_hyperwedges = provider.hyperwedge_list()
-                wedges = self._lazy_hyperwedges
-        resolved_samples = self._resolve_samples(spec, hypergraph, provider, wedges)
+        resolved_samples = self._resolve_samples(spec, hypergraph, provider)
         instances = None
         with Timer() as counting_timer:
             with use_backend(self._kernel_backend()):
@@ -380,7 +350,7 @@ class MotifEngine:
                         counts.increment(instance.motif)
                 else:
                     counts = self._dispatch(
-                        spec, hypergraph, provider, resolved_samples, wedges
+                        spec, hypergraph, provider, resolved_samples
                     )
         result = CountResult(
             dataset=hypergraph.name,
@@ -1035,31 +1005,6 @@ class MotifEngine:
             dataset=self._static().name,
         )
 
-    def _stored_hyperwedges(self) -> Optional[List[Tuple[int, int]]]:
-        """The hyperwedge list served from the artifact store, if any."""
-        if self._store is None:
-            return None
-        hit = self._store.get(
-            codecs.KIND_HYPERWEDGES, self.fingerprint, codecs.hyperwedge_params()
-        )
-        if hit is None:
-            return None
-        arrays, _, _ = hit
-        return codecs.decode_hyperwedges(arrays, self._static().num_hyperedges)
-
-    def _persist_hyperwedges(self, wedges: List[Tuple[int, int]]) -> None:
-        if self._store is None:
-            return
-        arrays, meta = codecs.encode_hyperwedges(wedges)
-        self._store.put(
-            codecs.KIND_HYPERWEDGES,
-            self.fingerprint,
-            codecs.hyperwedge_params(),
-            arrays,
-            meta,
-            dataset=self._static().name,
-        )
-
     def _stored_predict(
         self,
         spec: PredictSpec,
@@ -1183,10 +1128,7 @@ class MotifEngine:
 
     @staticmethod
     def _resolve_samples(
-        spec: CountSpec,
-        hypergraph: Hypergraph,
-        provider,
-        wedges: Optional[List[Tuple[int, int]]],
+        spec: CountSpec, hypergraph: Hypergraph, provider
     ) -> Optional[int]:
         if spec.is_exact:
             return None
@@ -1195,12 +1137,8 @@ class MotifEngine:
         ratio = 0.1 if spec.sampling_ratio is None else spec.sampling_ratio
         if spec.algorithm == ALGORITHM_EDGE_SAMPLING:
             population = hypergraph.num_hyperedges
-        elif wedges is not None:
-            population = len(wedges)
         else:
-            population = getattr(provider, "num_hyperwedges", None)
-            if population is None:
-                population = len(provider.hyperwedge_list())
+            population = provider.num_hyperwedges
         return max(1, int(round(ratio * population)))
 
     def _dispatch(
@@ -1209,7 +1147,6 @@ class MotifEngine:
         hypergraph: Hypergraph,
         provider,
         resolved_samples: Optional[int],
-        wedges: Optional[List[Tuple[int, int]]],
     ) -> MotifCounts:
         if spec.is_exact:
             if spec.num_workers > 1:
@@ -1236,11 +1173,7 @@ class MotifEngine:
                 projection=provider,
             )
         return count_approx_wedge_sampling(
-            hypergraph,
-            resolved_samples,
-            provider,
-            seed=spec.seed,
-            hyperwedges=wedges,
+            hypergraph, resolved_samples, provider, seed=spec.seed
         )
 
     def __repr__(self) -> str:

@@ -33,7 +33,11 @@ from repro.fastcore.projection import AdjacencyArrays
 from repro.counting.classification import NeighborhoodProvider, fast_adjacency
 from repro.counting.edge_sampling import count_approx_edge_sampling
 from repro.counting.exact import count_exact
-from repro.counting.wedge_sampling import _rescale, count_approx_wedge_sampling
+from repro.counting.wedge_sampling import (
+    _num_hyperwedges,
+    _rescale,
+    count_approx_wedge_sampling,
+)
 from repro.exceptions import SamplingError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.motifs.counts import MotifCounts, aggregate_counts
@@ -67,7 +71,7 @@ def make_executor(backend: str, num_workers: int) -> Executor:
 
 def _split_evenly(items: Sequence, parts: int) -> List[Sequence]:
     """Split *items* into at most *parts* non-empty contiguous chunks."""
-    parts = min(parts, len(items)) if items else 1
+    parts = min(parts, len(items)) if len(items) else 1
     chunks: List[Sequence] = []
     base, remainder = divmod(len(items), parts)
     start = 0
@@ -238,18 +242,17 @@ def count_approx_wedge_sampling_parallel(
     _check_backend(backend)
     if projection is None:
         projection = project(hypergraph)
-    hyperwedges = projection.hyperwedge_list()
-    if not hyperwedges:
+    num_hyperwedges = _num_hyperwedges(projection)
+    if num_hyperwedges == 0:
         raise SamplingError("the hypergraph has no hyperwedges")
     rng = ensure_rng(seed)
-    positions = rng.integers(0, len(hyperwedges), size=num_samples)
-    sample = [hyperwedges[int(position)] for position in positions]
+    positions = rng.integers(0, num_hyperwedges, size=num_samples)
+    sample = projection.hyperwedges_at(positions)
     if num_workers == 1:
         return count_approx_wedge_sampling(
             hypergraph,
             num_samples,
             projection=projection,
-            hyperwedges=hyperwedges,
             sampled_wedges=sample,
         )
     chunks = _split_evenly(sample, num_workers)
@@ -262,4 +265,4 @@ def count_approx_wedge_sampling_parallel(
         chunks,
     )
     raw = aggregate_counts(partials)
-    return _rescale(raw, len(hyperwedges), num_samples)
+    return _rescale(raw, num_hyperwedges, num_samples)

@@ -70,12 +70,7 @@ def compute_overlap_statistics(
     per_pair: Dict[int, Dict[Tuple[int, int], int]] = defaultdict(lambda: defaultdict(int))
     per_wedge: Dict[int, Dict[Tuple[int, int], int]] = defaultdict(lambda: defaultdict(int))
 
-    num_wedges = 0
-    if hasattr(projection, "num_hyperwedges"):
-        num_wedges = projection.num_hyperwedges
-    else:
-        num_wedges = len(projection.hyperwedge_list())
-
+    num_wedges = projection.num_hyperwedges
     for instance in enumerate_instances(hypergraph, projection):
         motif = instance.motif
         counts.increment(motif)

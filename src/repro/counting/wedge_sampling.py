@@ -12,16 +12,19 @@ paper's headline algorithmic result.
 
 Both the array-backed :class:`~repro.projection.ProjectedGraph` and the
 budgeted :class:`~repro.projection.LazyProjection` (the point of
-Section 3.4) run the per-wedge visit through the batched fast-core kernel
+Section 3.4) draw the sample without materializing ``∧``: uniform positions
+in the lexicographic hyperwedge order are mapped to ``(i, j)`` pairs by
+``hyperwedges_at``, which needs only ``|E| + 1`` per-row offsets. The
+per-wedge visit then runs through the batched fast-core kernel
 (:func:`repro.fastcore.count_wedges_batched`) — for the lazy projection only
 the row fetches honor the memoization budget; other neighborhood providers
-use the per-triple fallback.
+use the per-triple fallback and need an explicit hyperwedge list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.counting.classification import (
     NeighborhoodProvider,
@@ -82,14 +85,17 @@ def run_wedge_sampling(
         The number ``r`` of hyperwedges sampled with replacement; must be >= 1.
     projection:
         Pre-built projection. When a :class:`LazyProjection` is supplied the
-        on-the-fly variant of Section 3.4 is effectively used: neighborhoods
-        are computed only for hyperedges touched by sampled hyperwedges
-        (except for the initial hyperwedge enumeration when *hyperwedges* is
-        not supplied).
+        on-the-fly variant of Section 3.4 is effectively used: beyond one
+        scan of every neighborhood for ``|∧|`` and the per-row offsets
+        (within the memoization budget, nothing ``O(|∧|)`` kept), only
+        hyperedges touched by sampled hyperwedges are fetched.
     seed:
         Randomness for sampling.
     hyperwedges:
-        The hyperwedge list ``∧``. Computed from the projection when omitted.
+        An explicit hyperwedge list ``∧``, indexed by the drawn positions.
+        When omitted the positions are mapped through the projection's
+        ``hyperwedges_at``, which yields the same wedges as indexing its
+        ``hyperwedge_list()`` without building it.
     sampled_wedges:
         Explicit sample of hyperwedges (for tests / parallel driver); when
         provided, ``num_samples`` must equal its length.
@@ -97,9 +103,9 @@ def run_wedge_sampling(
     require_positive_int(num_samples, "num_samples")
     if projection is None:
         projection = project(hypergraph)
-    if hyperwedges is None:
-        hyperwedges = _hyperwedge_list(projection)
-    num_hyperwedges = len(hyperwedges)
+    num_hyperwedges = (
+        _num_hyperwedges(projection) if hyperwedges is None else len(hyperwedges)
+    )
     if num_hyperwedges == 0:
         raise SamplingError(
             "the hypergraph has no hyperwedges (no two hyperedges overlap); "
@@ -108,7 +114,10 @@ def run_wedge_sampling(
     if sampled_wedges is None:
         rng = ensure_rng(seed)
         positions = rng.integers(0, num_hyperwedges, size=num_samples)
-        sampled_wedges = [hyperwedges[int(position)] for position in positions]
+        if hyperwedges is None:
+            sampled_wedges = projection.hyperwedges_at(positions)
+        else:
+            sampled_wedges = [hyperwedges[int(position)] for position in positions]
     elif len(sampled_wedges) != num_samples:
         raise SamplingError(
             f"sampled_wedges has length {len(sampled_wedges)} but num_samples is {num_samples}"
@@ -125,11 +134,9 @@ def run_wedge_sampling(
     )
 
 
-def _hyperwedge_list(
-    projection: NeighborhoodProvider,
-) -> List[Tuple[int, int]]:
+def _num_hyperwedges(projection: NeighborhoodProvider) -> int:
     if isinstance(projection, (ProjectedGraph, LazyProjection)):
-        return projection.hyperwedge_list()
+        return projection.num_hyperwedges
     raise SamplingError(
         "cannot enumerate hyperwedges from this projection type; "
         "pass the hyperwedge list explicitly"
@@ -141,14 +148,13 @@ def accumulate_containing_wedges(
     projection: NeighborhoodProvider,
     wedges: Sequence[Tuple[int, int]],
 ) -> MotifCounts:
-    """Raw counts over all instances containing each sampled hyperwedge."""
+    """Raw counts over all instances containing each sampled hyperwedge.
+
+    *wedges* is a sequence of ``(i, j)`` pairs or an ``(n, 2)`` array.
+    """
     source = kernel_source(projection)
     if source is not None:
-        return MotifCounts(
-            count_wedges_batched(
-                hypergraph.csr(), source, [(int(i), int(j)) for i, j in wedges]
-            )
-        )
+        return MotifCounts(count_wedges_batched(hypergraph.csr(), source, wedges))
     counts = MotifCounts.zeros()
     for i, j in wedges:
         _accumulate_instances_containing_wedge(

@@ -15,7 +15,9 @@ budget, and each block is processed by one vectorized sweep —
   degree-bucketed so all anchors of equal degree share one upper-triangle
   index broadcast;
 * pairwise overlaps come from one vectorized ``searchsorted`` against the
-  projected graph's sorted key array (``pair_weights``);
+  projected graph's sorted key array (``pair_weights``); the hyperwedge
+  kernel instead merges the two gathered endpoint rows and reads the
+  overlaps off their weights;
 * triple overlaps ``|e_i ∩ e_j ∩ e_k|`` use one bitmask row per *(anchor,
   neighbor)* combination — bit ``p`` set iff the ``p``-th node of the anchor
   hyperedge belongs to the neighbor — so a pair's overlap is
@@ -635,18 +637,14 @@ def count_wedges_batched(
     """Raw counts of instances containing each sampled hyperwedge (MoCHy-A+).
 
     For a wedge ``∧_ij`` the candidates are ``N_{e_i} ∪ N_{e_j}`` minus the
-    wedge endpoints. Wedges are processed in candidate-budgeted blocks: the
-    union per wedge comes from one ``np.unique`` over offset keys
-    ``wedge_pos·|E| + id``, and triple overlaps intersect each candidate
-    hyperedge with the per-wedge shared node sets ``e_i ∩ e_j`` — all
-    wedges of a block at once.
+    wedge endpoints. *wedges* is a sequence of pairs or an ``(n, 2)`` array.
+    Wedges are processed in candidate-budgeted blocks sized from the row
+    lengths before anything is gathered; within a block both endpoint rows
+    are merged as sorted runs (see :func:`_accumulate_wedge_block`), and
+    triple overlaps intersect each candidate hyperedge with the per-wedge
+    shared node sets ``e_i ∩ e_j`` — all wedges of a block at once.
     """
-    if isinstance(wedges, np.ndarray):
-        wedge_array = wedges.astype(np.int64, copy=False).reshape(-1, 2)
-    else:
-        wedge_array = np.fromiter(
-            (int(x) for pair in wedges for x in pair), dtype=np.int64
-        ).reshape(-1, 2)
+    wedge_array = np.asarray(wedges, dtype=np.int64).reshape(-1, 2)
     _check_vertex_range(wedge_array, csr.num_edges)
     compiled = _compiled_module(adjacency, backend)
     if compiled is not None:
@@ -658,39 +656,27 @@ def count_wedges_batched(
     totals = np.zeros(NUM_MOTIFS + 1, dtype=np.float64)
     sizes = csr.edge_sizes
     num_wedges = wedge_array.shape[0]
+    bounds = np.cumsum(
+        adjacency.row_lengths(wedge_array[:, 0])
+        + adjacency.row_lengths(wedge_array[:, 1])
+    )
     start = 0
     while start < num_wedges:
-        stop = min(num_wedges, start + _ANCHOR_BLOCK)
+        base = int(bounds[start - 1]) if start else 0
+        stop = int(
+            np.searchsorted(bounds, base + _BLOCK_PAIR_BUDGET, side="right")
+        )
+        stop = min(max(stop, start + 1), start + _ANCHOR_BLOCK, num_wedges)
         left = wedge_array[start:stop, 0]
         right = wedge_array[start:stop, 1]
-        ids_left, _, len_left = adjacency.gather_rows(left)
-        ids_right, _, len_right = adjacency.gather_rows(right)
-        candidates_per_wedge = len_left + len_right
-        if stop - start > 1 and int(candidates_per_wedge.sum()) > _BLOCK_PAIR_BUDGET:
-            cumulative = np.cumsum(candidates_per_wedge)
-            fit = int(
-                np.searchsorted(cumulative, _BLOCK_PAIR_BUDGET, side="right")
-            )
-            fit = max(fit, 1)
-            if fit < stop - start:
-                stop = start + fit
-                left = left[:fit]
-                right = right[:fit]
-                ids_left = ids_left[: int(len_left[:fit].sum())]
-                len_left = len_left[:fit]
-                ids_right = ids_right[: int(len_right[:fit].sum())]
-                len_right = len_right[:fit]
         _accumulate_wedge_block(
             csr,
-            adjacency,
             sizes,
             totals,
             left,
             right,
-            ids_left,
-            len_left,
-            ids_right,
-            len_right,
+            adjacency.gather_rows(left),
+            adjacency.gather_rows(right),
         )
         start = stop
     return totals[1:]
@@ -698,42 +684,66 @@ def count_wedges_batched(
 
 def _accumulate_wedge_block(
     csr: HypergraphCSR,
-    source,
     sizes: np.ndarray,
     totals: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
-    ids_left: np.ndarray,
-    len_left: np.ndarray,
-    ids_right: np.ndarray,
-    len_right: np.ndarray,
+    rows_left: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    rows_right: Tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> None:
-    """Classify all candidate triples of one wedge block."""
+    """Classify all candidate triples of one wedge block.
+
+    ``rows_left``/``rows_right`` are the gathered ``(ids, weights, lengths)``
+    of the endpoint rows. Under the offset keys ``wedge_pos·|E| + id`` each
+    side is one sorted run, so one membership pass of the right run against
+    the left merges them: the candidates are every left entry plus the right
+    entries the left row lacks. ``ω(∧_ik)`` and ``ω(∧_jk)`` are the gathered
+    weights (0 on the side a candidate is missing from) and ``ω(∧_ij)`` is
+    the weight of ``e_j`` in ``e_i``'s row, so no pair lookup is needed.
+    """
+    ids_left, weights_left, len_left = rows_left
+    ids_right, weights_right, len_right = rows_right
     if ids_left.size + ids_right.size == 0:
         return
+    weights_left = weights_left.astype(np.int64, copy=False)
+    weights_right = weights_right.astype(np.int64, copy=False)
     edge_scale = np.int64(max(csr.num_edges, 1))
     wedge_of_left = np.repeat(np.arange(left.size, dtype=np.int64), len_left)
     wedge_of_right = np.repeat(np.arange(right.size, dtype=np.int64), len_right)
-    keys = np.concatenate(
-        [wedge_of_left * edge_scale + ids_left, wedge_of_right * edge_scale + ids_right]
+    in_left, at_left = sorted_member_positions(
+        wedge_of_left * edge_scale + ids_left,
+        wedge_of_right * edge_scale + ids_right,
     )
-    unique_keys = np.unique(keys)
-    wedge_of = unique_keys // edge_scale
-    candidates = unique_keys % edge_scale
+    shared_weight_jk = np.zeros(ids_left.size, dtype=np.int64)
+    shared_weight_jk[at_left[in_left]] = weights_right[in_left]
+    is_j = ids_left == right[wedge_of_left]
+    weight_ij = np.zeros(left.size, dtype=np.int64)
+    weight_ij[wedge_of_left[is_j]] = weights_left[is_j]
+
+    only_right = ~in_left
+    wedge_of = np.concatenate([wedge_of_left, wedge_of_right[only_right]])
+    candidates = np.concatenate([ids_left, ids_right[only_right]])
+    weight_ik = np.concatenate(
+        [weights_left, np.zeros(int(only_right.sum()), dtype=np.int64)]
+    )
+    weight_jk = np.concatenate([shared_weight_jk, weights_right[only_right]])
     keep = (candidates != left[wedge_of]) & (candidates != right[wedge_of])
+    if not keep.any():
+        return
     wedge_of = wedge_of[keep]
     candidates = candidates[keep]
-    if candidates.size == 0:
-        return
-    weight_ij = source.pair_weights(left, right).astype(np.int64)
-    weight_ik = source.pair_weights(left[wedge_of], candidates).astype(np.int64)
-    weight_jk = source.pair_weights(right[wedge_of], candidates).astype(np.int64)
+    weight_ik = weight_ik[keep]
+    weight_jk = weight_jk[keep]
     triple = np.zeros(candidates.size, dtype=np.int64)
     needs_triple = (weight_ik > 0) & (weight_jk > 0)
     if needs_triple.any():
-        # Shared node sets e_i ∩ e_j, one haystack for the wedges that need
-        # them: keys are wedge_pos·|V| + node, sorted by construction.
-        used_wedges = np.unique(wedge_of[needs_triple])
+        # Shared node sets e_i ∩ e_j of the wedges that need them, in one
+        # haystack keyed wedge_pos·|V| + node (sorted by construction).
+        rows = candidates[needs_triple]
+        row_wedge = wedge_of[needs_triple]
+        used = np.zeros(left.size, dtype=bool)
+        used[row_wedge] = True
+        used_wedges = np.flatnonzero(used)
         node_scale = np.int64(max(csr.num_nodes, 1))
         nodes_left, owner_left = _gather_rows(
             csr.edge_ptr, csr.edge_nodes, left[used_wedges]
@@ -741,17 +751,15 @@ def _accumulate_wedge_block(
         nodes_right, owner_right = _gather_rows(
             csr.edge_ptr, csr.edge_nodes, right[used_wedges]
         )
-        right_keys = owner_right * node_scale + nodes_right
+        right_keys = used_wedges[owner_right] * node_scale + nodes_right
         shared_hit, _ = sorted_member_positions(
-            owner_left * node_scale + nodes_left, right_keys
+            used_wedges[owner_left] * node_scale + nodes_left, right_keys
         )
         shared_keys = right_keys[shared_hit]
         if shared_keys.size:
-            rows = candidates[needs_triple]
             values, value_owner = _gather_rows(csr.edge_ptr, csr.edge_nodes, rows)
-            wedge_pos = np.searchsorted(used_wedges, wedge_of[needs_triple])
             hit, _ = sorted_member_positions(
-                shared_keys, wedge_pos[value_owner] * node_scale + values
+                shared_keys, row_wedge[value_owner] * node_scale + values
             )
             triple[needs_triple] = np.bincount(
                 value_owner[hit], minlength=rows.size

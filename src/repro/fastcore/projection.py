@@ -84,6 +84,54 @@ def gather_row_positions(
     return positions, owner
 
 
+def upper_row_starts(ptr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per row ``i`` of sorted CSR adjacency, the position of its first id ``> i``.
+
+    One lockstep binary search over all rows at once: ``O(|E| log d_max)``
+    time and ``O(|E|)`` memory, so splitting every row at its diagonal never
+    allocates an array the size of the entry list.
+    """
+    lo = ptr[:-1].astype(np.int64)
+    hi = ptr[1:].astype(np.int64)
+    active = np.flatnonzero(lo < hi)
+    while active.size:
+        mid = (lo[active] + hi[active]) // 2
+        below = idx[mid] <= active
+        lo[active[below]] = mid[below] + 1
+        hi[active[~below]] = mid[~below]
+        active = active[lo[active] < hi[active]]
+    return lo
+
+
+def hyperwedges_at(
+    source, offsets: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
+    """The hyperwedges at *positions* of the lexicographic order of ``∧``.
+
+    ``offsets`` has ``|E| + 1`` entries: ``offsets[i]`` counts the hyperwedges
+    ``(a, b)``, ``a < b``, whose row ``a`` precedes ``i`` (one cumsum over the
+    per-row upper-triangle counts). A position maps to its row by
+    ``searchsorted`` and, within the row, indexes the sorted ids above the
+    diagonal, which are the row's last ids. Only the distinct rows hit are
+    gathered from *source* (anything serving ``gather_rows``). Returns an
+    ``(n, 2)`` int64 array whose row ``t`` equals
+    ``hyperwedge_list()[positions[t]]``.
+    """
+    positions = np.asarray(positions, dtype=np.int64).ravel()
+    if positions.size and (
+        int(positions.min()) < 0 or int(positions.max()) >= int(offsets[-1])
+    ):
+        raise ProjectionError(
+            f"hyperwedge positions must lie in [0, {int(offsets[-1])})"
+        )
+    rows = np.searchsorted(offsets, positions, side="right") - 1
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    ids, _, lengths = source.gather_rows(distinct)
+    upper_begin = np.cumsum(lengths) - (offsets[distinct + 1] - offsets[distinct])
+    cols = ids[upper_begin[inverse] + positions - offsets[rows]]
+    return np.stack([rows, cols], axis=1)
+
+
 class AdjacencyArrays:
     """Picklable CSR adjacency of a projected graph.
 

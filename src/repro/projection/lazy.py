@@ -27,7 +27,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fastcore.projection import neighborhood_arrays, sorted_member_positions
+from repro.fastcore.projection import (
+    hyperwedges_at,
+    neighborhood_arrays,
+    sorted_member_positions,
+)
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_non_negative_int
@@ -79,6 +83,7 @@ class LazyProjection:
         )
         self._computations = 0
         self._hits = 0
+        self._wedge_offsets: Optional[np.ndarray] = None
 
     # ----------------------------------------------------------------- stats
     @property
@@ -154,10 +159,11 @@ class LazyProjection:
         return 0
 
     def hyperwedge_list(self) -> List[Tuple[int, int]]:
-        """All hyperwedges ``(i, j)`` with ``i < j``.
+        """All hyperwedges ``(i, j)`` with ``i < j``, in lexicographic order.
 
         Enumerating hyperwedges requires touching every neighborhood once; the
-        scan honours the memoization budget, so memory stays bounded.
+        scan honours the memoization budget, but the list itself is
+        ``O(|∧|)`` — MoCHy-A+ samples through :meth:`hyperwedges_at` instead.
         """
         wedges: List[Tuple[int, int]] = []
         for i in range(self.num_hyperedges):
@@ -165,6 +171,32 @@ class LazyProjection:
             for j in ids[ids > i].tolist():
                 wedges.append((i, int(j)))
         return wedges
+
+    @property
+    def num_hyperwedges(self) -> int:
+        """``|∧|``; the first call scans every neighborhood once."""
+        return int(self._upper_offsets()[-1])
+
+    def hyperwedges_at(self, positions) -> np.ndarray:
+        """``hyperwedge_list()[p]`` for each ``p`` in *positions*, as ``(n, 2)``.
+
+        Only the rows the positions land in are fetched (budget honoured).
+        """
+        return hyperwedges_at(self, self._upper_offsets(), positions)
+
+    def _upper_offsets(self) -> np.ndarray:
+        """Per-row upper-triangle offsets (``|E| + 1`` integers), scanned once.
+
+        The scan fetches each neighborhood through :meth:`row`, so it honours
+        the memoization budget and keeps nothing ``O(|∧|)``.
+        """
+        if self._wedge_offsets is None:
+            upper = np.empty(self.num_hyperedges, dtype=np.int64)
+            for i in range(self.num_hyperedges):
+                ids, _ = self.row(i)
+                upper[i] = ids.size - np.searchsorted(ids, i, side="right")
+            self._wedge_offsets = np.concatenate(([0], np.cumsum(upper)))
+        return self._wedge_offsets
 
     def prewarm(self, indices: Iterable[int]) -> None:
         """Eagerly compute (and memoize, budget permitting) the given neighborhoods."""

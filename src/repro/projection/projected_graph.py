@@ -15,7 +15,7 @@ constructor is kept for hand-built graphs and validates exactly as before.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from repro.exceptions import ProjectionError
 from repro.fastcore.projection import (
     WEIGHT_DTYPE,
     AdjacencyArrays,
+    hyperwedges_at,
     pairs_to_symmetric_csr,
+    upper_row_starts,
 )
 
 
@@ -40,7 +42,7 @@ class ProjectedGraph:
         CSR arrays should use :meth:`from_csr` instead.
     """
 
-    __slots__ = ("_num_hyperedges", "_arrays", "_num_hyperwedges")
+    __slots__ = ("_num_hyperedges", "_arrays", "_num_hyperwedges", "_wedge_offsets")
 
     def __init__(
         self, num_hyperedges: int, adjacency: Mapping[int, Mapping[int, int]]
@@ -68,6 +70,7 @@ class ProjectedGraph:
         self._num_hyperedges = num_hyperedges
         self._arrays = AdjacencyArrays(num_hyperedges, ptr, idx, weight)
         self._num_hyperwedges = int(idx.size) // 2
+        self._wedge_offsets: Optional[np.ndarray] = None
 
     @classmethod
     def from_csr(
@@ -155,7 +158,8 @@ class ProjectedGraph:
     def hyperwedge_list(self) -> List[Tuple[int, int]]:
         """Materialized list of hyperwedges ``(i, j)`` with ``i < j``.
 
-        Hyperwedge-sampling algorithms (MoCHy-A+) index into this list.
+        Lexicographic, the order :meth:`hyperwedges_at` indexes without
+        building this list.
         """
         arrays = self._arrays
         rows = np.repeat(
@@ -163,6 +167,19 @@ class ProjectedGraph:
         )
         upper = rows < arrays.idx
         return list(zip(rows[upper].tolist(), arrays.idx[upper].tolist()))
+
+    def hyperwedges_at(self, positions) -> np.ndarray:
+        """``hyperwedge_list()[p]`` for each ``p`` in *positions*, as ``(n, 2)``.
+
+        MoCHy-A+ draws its sample through this mapping, so it never
+        materializes ``∧``: the per-row offsets it needs (``|E| + 1``
+        integers) are computed once and cached.
+        """
+        if self._wedge_offsets is None:
+            arrays = self._arrays
+            upper = arrays.ptr[1:] - upper_row_starts(arrays.ptr, arrays.idx)
+            self._wedge_offsets = np.concatenate(([0], np.cumsum(upper)))
+        return hyperwedges_at(self._arrays, self._wedge_offsets, positions)
 
     # -------------------------------------------------------------- estimators
     def total_neighborhood_work(self) -> int:

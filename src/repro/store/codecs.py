@@ -29,7 +29,6 @@ KIND_PROJECTION = "projection"
 KIND_COUNT = "count"
 KIND_NULL = "null-counts"
 KIND_PROFILE = "profile"
-KIND_HYPERWEDGES = "hyperwedges"
 KIND_PREDICT = "predict"
 KIND_LINEAGE = "lineage"
 
@@ -43,15 +42,6 @@ def _canonical_seed(seed: Any) -> Optional[int]:
 def projection_params() -> Dict[str, Any]:
     """The full projection is parameter-free: one artifact per fingerprint."""
     return {"kind": KIND_PROJECTION}
-
-
-def hyperwedge_params() -> Dict[str, Any]:
-    """The hyperwedge list is parameter-free: one artifact per fingerprint.
-
-    The list is a pure function of the projection (every adjacent hyperedge
-    pair, lexicographic), so like the projection it needs no spec in its key.
-    """
-    return {"kind": KIND_HYPERWEDGES}
 
 
 def predict_params(spec, context_window, test_window) -> Dict[str, Any]:
@@ -194,31 +184,6 @@ def decode_projection(
     if len(ptr) and int(ptr[-1]) != len(idx):
         return None
     return ProjectedGraph.from_csr(num_vertices, ptr, idx, weight)
-
-
-# -------------------------------------------------------------- hyperwedges
-def encode_hyperwedges(
-    wedges,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Render the hyperwedge list ``∧`` as an ``(n, 2)`` int64 pair array."""
-    pairs = np.asarray(list(wedges), dtype=np.int64).reshape(-1, 2)
-    return {"pairs": pairs}, {"num_hyperwedges": int(pairs.shape[0])}
-
-
-def decode_hyperwedges(
-    arrays: Mapping[str, np.ndarray], num_hyperedges: int
-) -> Optional[list]:
-    """Rebuild the hyperwedge list; ``None`` on a shape or range mismatch.
-
-    The pairs index hyperedges of the fingerprinted hypergraph, so anything
-    out of ``[0, num_hyperedges)`` marks the artifact inconsistent.
-    """
-    pairs = arrays.get("pairs")
-    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
-        return None
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= num_hyperedges):
-        return None
-    return [(int(a), int(b)) for a, b in pairs]
 
 
 # ----------------------------------------------------------------- predict

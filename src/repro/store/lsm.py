@@ -202,12 +202,13 @@ class GCStats:
 
 
 #: Eviction priority per artifact kind: lower evicts first. Bulky cold
-#: artifacts (projection CSR, per-sample null stacks, hyperwedge lists) go
-#: before the hot small ones (26-float count vectors and profiles).
+#: artifacts (projection CSR, per-sample null stacks) go before the hot
+#: small ones (26-float count vectors and profiles). Kinds no longer written,
+#: such as the retired hyperwedge lists of older stores, fall to
+#: ``_UNKNOWN_KIND_PRIORITY`` and leave with the bulky kinds.
 DEFAULT_KIND_PRIORITY: Dict[str, int] = {
     "projection": 0,
     "null-counts": 1,
-    "hyperwedges": 2,
     "predict": 3,
     "count": 4,
     "profile": 5,

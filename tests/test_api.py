@@ -160,15 +160,6 @@ class TestCountMemoization:
         assert hit.counting_seconds == 0.0
         assert hit.projection_cached
 
-    def test_mutating_hyperwedges_does_not_poison_sampling(self, small_random_hypergraph):
-        engine = MotifEngine(small_random_hypergraph)
-        wedges = engine.hyperwedges()
-        wedges.clear()
-        spec = CountSpec(algorithm="mochy-a+", num_samples=6, seed=0)
-        assert engine.count(spec).counts == MotifEngine(
-            small_random_hypergraph
-        ).count(spec).counts
-
     def test_profile_reuses_memoized_exact_count(self, small_random_hypergraph, counting_project):
         engine = MotifEngine(small_random_hypergraph)
         exact = engine.count()
@@ -326,26 +317,51 @@ class TestLazyProjection:
         assert counting_project == []
         assert engine.num_projection_builds == 0
 
-    def test_lazy_wedge_list_enumerated_once(self, small_random_hypergraph, monkeypatch):
-        from repro.projection.lazy import LazyProjection
+    @pytest.mark.parametrize(
+        "run",
+        [
+            dict(num_samples=6),
+            dict(sampling_ratio=0.2),
+            dict(num_samples=6, num_workers=2),
+            dict(sampling_ratio=0.2, num_workers=2),
+            dict(num_samples=6, projection="lazy"),
+            dict(sampling_ratio=0.2, projection="lazy", budget=3),
+            "overlap-statistics",
+        ],
+        ids=[
+            "full-samples",
+            "full-ratio",
+            "full-samples-2-workers",
+            "full-ratio-2-workers",
+            "lazy-samples",
+            "lazy-ratio",
+            "overlap-statistics",
+        ],
+    )
+    def test_aplus_never_builds_the_hyperwedge_list(
+        self, small_random_hypergraph, monkeypatch, run
+    ):
+        """MoCHy-A+ samples positions of ``∧``; it must never enumerate it."""
+        from repro.counting.variance import compute_overlap_statistics
+        from repro.projection import LazyProjection, ProjectedGraph
 
-        calls = {"n": 0}
-        real = LazyProjection.hyperwedge_list
+        def refuse(self):
+            raise AssertionError("the hyperwedge list was built")
 
-        def wrapper(self):
-            calls["n"] += 1
-            return real(self)
-
-        monkeypatch.setattr(LazyProjection, "hyperwedge_list", wrapper)
-        engine = MotifEngine(small_random_hypergraph)
-        first = engine.count(
-            CountSpec(algorithm="mochy-a+", num_samples=6, seed=0, projection="lazy")
+        monkeypatch.setattr(LazyProjection, "hyperwedge_list", refuse)
+        monkeypatch.setattr(ProjectedGraph, "hyperwedge_list", refuse)
+        hypergraph = small_random_hypergraph
+        num_wedges = project(hypergraph).num_hyperwedges
+        if run == "overlap-statistics":
+            statistics = compute_overlap_statistics(
+                hypergraph, LazyProjection(hypergraph, budget=3)
+            )
+            assert statistics.num_hyperwedges == num_wedges
+            return
+        result = MotifEngine(hypergraph, store=False).count(
+            CountSpec(algorithm="mochy-a+", seed=0, **run)
         )
-        second = engine.count(
-            CountSpec(algorithm="mochy-a+", num_samples=6, seed=1, projection="lazy")
-        )
-        assert calls["n"] == 1
-        assert first.num_samples == second.num_samples == 6
+        assert result.num_samples == run.get("num_samples", round(0.2 * num_wedges))
 
 
 class TestResults:

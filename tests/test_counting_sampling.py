@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import CountSpec, MotifEngine
 from repro.counting import (
     count_approx_edge_sampling,
     count_approx_wedge_sampling,
@@ -12,10 +13,10 @@ from repro.counting import (
     run_edge_sampling,
     run_wedge_sampling,
 )
-from repro.exceptions import SamplingError
+from repro.exceptions import ProjectionError, SamplingError
 from repro.hypergraph import Hypergraph
 from repro.motifs import MotifCounts
-from repro.projection import project
+from repro.projection import LazyProjection, project
 
 
 class TestEdgeSampling:
@@ -152,6 +153,67 @@ class TestWedgeSampling:
         first = count_approx_wedge_sampling(small_random_hypergraph, 20, seed=3)
         second = count_approx_wedge_sampling(small_random_hypergraph, 20, seed=3)
         assert first == second
+
+
+def _parity_hypergraph(name: str) -> Hypergraph:
+    """Random hyperedges plus one hub and three isolated hyperedges, or |∧| = 1."""
+    if name == "single-wedge":
+        return Hypergraph([[1, 2], [2, 3], [4, 5]])
+    rng = np.random.default_rng(int(name.split("-")[1]))
+    edges = [
+        frozenset(rng.choice(40, size=int(rng.integers(2, 5)), replace=False).tolist())
+        for _ in range(30)
+    ]
+    edges.append(frozenset(range(0, 40, 3)))
+    edges += [frozenset({100 + 2 * t, 101 + 2 * t}) for t in range(3)]
+    return Hypergraph(list(dict.fromkeys(edges)))
+
+
+PARITY_GRAPHS = ["random-0", "random-1", "random-2", "single-wedge"]
+
+
+class TestDrawParity:
+    """A drawn position maps to exactly the wedge ``hyperwedge_list()`` holds
+    there, so seeded MoCHy-A+ runs match an explicit-list recomputation."""
+
+    @pytest.mark.parametrize("name", PARITY_GRAPHS)
+    @pytest.mark.parametrize("provider", ["full", "lazy-0", "lazy-3"])
+    def test_every_position_maps_to_its_list_entry(self, name, provider):
+        hypergraph = _parity_hypergraph(name)
+        if provider == "full":
+            projection = project(hypergraph)
+        else:
+            budget = int(provider.split("-")[1])
+            projection = LazyProjection(hypergraph, budget=budget)
+        wedges = projection.hyperwedge_list()
+        assert projection.num_hyperwedges == len(wedges)
+        mapped = projection.hyperwedges_at(np.arange(len(wedges)))
+        assert mapped.shape == (len(wedges), 2)
+        assert [tuple(pair) for pair in mapped.tolist()] == wedges
+        with pytest.raises(ProjectionError):
+            projection.hyperwedges_at([len(wedges)])
+
+    @pytest.mark.parametrize("name", PARITY_GRAPHS)
+    @pytest.mark.parametrize("projection_mode", ["full", "lazy"])
+    def test_engine_estimate_matches_explicit_list(self, name, projection_mode):
+        hypergraph = _parity_hypergraph(name)
+        projection = project(hypergraph)
+        for seed in range(3):
+            spec = CountSpec(
+                algorithm="mochy-a+",
+                num_samples=25,
+                seed=seed,
+                projection=projection_mode,
+            )
+            served = MotifEngine(hypergraph, store=False).count(spec).counts
+            explicit = count_approx_wedge_sampling(
+                hypergraph,
+                25,
+                projection,
+                seed=seed,
+                hyperwedges=projection.hyperwedge_list(),
+            )
+            assert served.to_array().tolist() == explicit.to_array().tolist()
 
 
 class TestUnbiasedness:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.counting.classification import fast_adjacency
+from repro.exceptions import MotifError, NotConnectedError
 from repro.fastcore import kernels
 from repro.fastcore.reference import (
     count_containing_reference,
@@ -169,16 +170,63 @@ class TestBlockBoundaries:
         got = kernels.count_containing_batched(hypergraph.csr(), adjacency, anchors)
         assert np.array_equal(got, want)
 
-    def test_wedge_counts_invariant_under_block_geometry(self, graph, monkeypatch):
+    @pytest.mark.parametrize(
+        "case", ["blocked", "repeated", "reversed", "hub-over-budget", "one-per-block"]
+    )
+    def test_wedge_counts_invariant_under_block_geometry(
+        self, graph, monkeypatch, case
+    ):
         hypergraph, projection, adjacency = graph
-        wedges = projection.hyperwedge_list()[:80]
+        reference_projection = project_reference(hypergraph)
+        wedges = projection.hyperwedge_list()
+        degrees = projection.degrees()
+
+        def candidates(wedge):
+            return degrees[wedge[0]] + degrees[wedge[1]]
+
+        budget, block = 8, 3
+        if case == "blocked":
+            wedges = wedges[:80]
+        elif case == "repeated":
+            # Default geometry: the repeats of a wedge share one block.
+            wedges = wedges[:5] * 3 + wedges[:1] * 4
+            budget, block = kernels._BLOCK_PAIR_BUDGET, kernels._ANCHOR_BLOCK
+        elif case == "reversed":
+            wedges = [(j, i) for i, j in wedges[:60]]
+        elif case == "hub-over-budget":
+            hub = max(wedges, key=candidates)
+            wedges = wedges[:10] + [hub] + wedges[10:20]
+            budget, block = candidates(hub) - 1, 64
+        else:
+            wedges = wedges[:80]
+            budget, block = 1, 64
         want = count_wedges_reference(
-            hypergraph, project_reference(hypergraph), wedges
+            hypergraph, reference_projection, wedges
         ).to_array()
-        monkeypatch.setattr(kernels, "_BLOCK_PAIR_BUDGET", 8)
-        monkeypatch.setattr(kernels, "_ANCHOR_BLOCK", 3)
+        monkeypatch.setattr(kernels, "_BLOCK_PAIR_BUDGET", budget)
+        monkeypatch.setattr(kernels, "_ANCHOR_BLOCK", block)
         got = kernels.count_wedges_batched(hypergraph.csr(), adjacency, wedges)
         assert np.array_equal(got, want)
+
+        # Invalid wedges fail like the reference: (i, i) has a negative
+        # Venn region, a non-adjacent pair leaves disconnected candidates.
+        hub_edge = int(np.argmax(degrees))
+        far = next(
+            j
+            for j in range(hypergraph.num_hyperedges)
+            if j != hub_edge and projection.overlap(hub_edge, j) == 0
+        )
+        for bad, expected in (
+            ((hub_edge, hub_edge), MotifError),
+            ((hub_edge, far), NotConnectedError),
+        ):
+            for count in (
+                lambda w: count_wedges_reference(hypergraph, reference_projection, w),
+                lambda w: kernels.count_wedges_batched(hypergraph.csr(), adjacency, w),
+            ):
+                with pytest.raises(MotifError) as raised:
+                    count(wedges[:2] + [bad])
+                assert type(raised.value) is expected
 
 
 class TestLazySourceThroughKernels:

@@ -367,7 +367,7 @@ class TestOccupancy:
 
 
 class TestEngineWarmStarts:
-    """The two new persisted kinds: hyperwedge lists and predict grids."""
+    """Warm engines: hyperwedges from the stored projection, predict grids."""
 
     def _static(self, seed: int = 0):
         return generate_uniform_random(num_nodes=25, num_hyperedges=40, seed=seed)
@@ -376,12 +376,13 @@ class TestEngineWarmStarts:
         store = ArtifactStore(tmp_path / "store")
         cold = MotifEngine(self._static(), store=store)
         wedges = cold.hyperwedges()
-        assert codecs.KIND_HYPERWEDGES in {e.kind for e in store.entries()}
+        assert cold.num_projection_builds == 1
+        assert {e.kind for e in store.entries()} == {codecs.KIND_PROJECTION}
         warm = MotifEngine(
             self._static(), store=ArtifactStore(tmp_path / "store")
         )
         assert warm.hyperwedges() == wedges
-        # Served whole from the store: the projection never had to be built.
+        # Derived from the stored projection: nothing was built.
         assert warm.num_projection_builds == 0
 
     def test_predict_warm_start_is_bit_identical(self, tmp_path):
