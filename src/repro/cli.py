@@ -98,34 +98,6 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the counting-kernel backend option (``--kernel-backend``)."""
-    from repro.fastcore.backend import KERNEL_BACKEND_CHOICES
-
-    parser.add_argument(
-        "--kernel-backend",
-        choices=KERNEL_BACKEND_CHOICES,
-        default=None,
-        help="counting-kernel backend: 'numpy' (always available), 'numba' "
-        "(compiled; fails if numba is not installed) or 'auto' "
-        "(default: $REPRO_KERNEL_BACKEND when set, else numpy)",
-    )
-
-
-def _apply_kernel_backend(arguments) -> None:
-    """Install --kernel-backend as the process-wide default, failing fast."""
-    backend = getattr(arguments, "kernel_backend", None)
-    if backend is None:
-        return
-    from repro.exceptions import KernelBackendError
-    from repro.fastcore.backend import set_backend
-
-    try:
-        set_backend(backend)
-    except KernelBackendError as error:
-        raise CLIError(str(error)) from error
-
-
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the artifact-store options shared by the analysis commands."""
     parser.add_argument(
@@ -232,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument(
         "--json", action="store_true", help="emit the result as a JSON document"
     )
-    _add_kernel_arguments(count)
     _add_store_arguments(count)
 
     profile = subparsers.add_parser("profile", help="compute the characteristic profile")
@@ -244,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--json", action="store_true", help="emit the result as a JSON document"
     )
-    _add_kernel_arguments(profile)
     _add_store_arguments(profile)
 
     compare = subparsers.add_parser("compare", help="real vs. random comparison table")
@@ -254,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--json", action="store_true", help="emit the result as a JSON document"
     )
-    _add_kernel_arguments(compare)
     _add_store_arguments(compare)
 
     generate = subparsers.add_parser("generate", help="generate a synthetic dataset")
@@ -318,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument(
         "--json", action="store_true", help="emit the result as a JSON document"
     )
-    _add_kernel_arguments(evolve)
     _add_store_arguments(evolve)
 
     cache = subparsers.add_parser(
@@ -360,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument(
         "--seed", type=int, default=0, help="random seed for the warmed profile"
     )
-    _add_kernel_arguments(warm)
     _add_executor_arguments(warm)
 
     serve = subparsers.add_parser(
@@ -421,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="console log level for the service (structured JSON events on "
         "the 'repro' logger; 'debug' includes per-unit and HTTP access logs)",
     )
-    _add_kernel_arguments(serve)
     _add_executor_arguments(serve)
     _add_store_arguments(serve)
     _add_policy_arguments(serve, prefix="cache-")
@@ -462,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit one JSON result document per request line",
     )
-    _add_kernel_arguments(serve_batch)
     _add_executor_arguments(serve_batch)
     _add_store_arguments(serve_batch)
     return parser
@@ -475,7 +440,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if arguments.verbose:
         enable_console_logging()
     try:
-        _apply_kernel_backend(arguments)
         if arguments.command == "count":
             _run_count(arguments)
         elif arguments.command == "profile":

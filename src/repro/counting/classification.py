@@ -39,7 +39,7 @@ def fast_adjacency(projection: NeighborhoodProvider):
     Any provider exposing ``adjacency_arrays()`` (today
     :class:`repro.projection.ProjectedGraph`) yields a fully materialized
     :class:`~repro.fastcore.projection.AdjacencyArrays` — the picklable form
-    the parallel drivers ship to workers and the compiled backend requires.
+    the parallel drivers ship to workers.
     """
     getter = getattr(projection, "adjacency_arrays", None)
     return getter() if getter is not None else None

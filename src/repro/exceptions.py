@@ -90,15 +90,6 @@ class SpecError(ReproError):
     """Raised when a :mod:`repro.api` spec is constructed with invalid options."""
 
 
-class KernelBackendError(SpecError):
-    """Raised when an unknown or unavailable kernel backend is requested.
-
-    Also a :class:`SpecError` so API-level configuration errors (an explicit
-    ``KernelConfig(backend="numba")`` without numba installed) surface through
-    the same channel as every other invalid spec.
-    """
-
-
 class CountSpecError(SpecError, SamplingError):
     """Raised when a :class:`repro.api.CountSpec` is invalid.
 

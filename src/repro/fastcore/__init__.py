@@ -9,14 +9,11 @@ batched NumPy kernels that every hot path of the library routes through:
   rewritten as array merges (``bincount``/``argsort``/``reduceat``) producing
   CSR adjacency ``(nbr_ptr, nbr_idx, nbr_weight)``, and the picklable
   :class:`AdjacencyArrays` view the counting kernels consume.
-* :mod:`repro.fastcore.kernels` — batched h-motif classification: anchors
-  are packed into pair-budgeted blocks and each block's candidate triples
-  are classified in one vectorized sweep through a precomputed 128-entry
-  pattern→motif lookup table (no per-anchor Python iteration).
-* :mod:`repro.fastcore.backend` / :mod:`repro.fastcore.compiled` — kernel
-  backend selection (``REPRO_KERNEL_BACKEND``, ``--kernel-backend``,
-  ``KernelConfig``) and the optional numba-compiled inner loops; pure NumPy
-  is always the default fallback.
+* :mod:`repro.fastcore.kernels` — batched h-motif classification, the one
+  counting path of every MoCHy counter: anchors are packed into
+  pair-budgeted blocks and each block's candidate triples are classified in
+  one vectorized sweep through a precomputed 128-entry pattern→motif lookup
+  table (no per-anchor Python iteration).
 * :mod:`repro.fastcore.reference` — the seed (object-graph, per-triple)
   implementations, kept as the executable specification for parity tests and
   the ``bench_core_speed`` benchmark.
@@ -31,16 +28,6 @@ Sums of unit increments are order-independent in floating point, so all
 counts are bit-identical to the reference implementations.
 """
 
-from repro.fastcore.backend import (
-    ENV_KERNEL_BACKEND,
-    KERNEL_BACKEND_CHOICES,
-    KERNEL_BACKENDS,
-    get_backend,
-    numba_available,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
 from repro.fastcore.csr import HypergraphCSR, build_csr
 from repro.fastcore.projection import (
     AdjacencyArrays,
@@ -68,12 +55,4 @@ __all__ = [
     "count_exact_batched",
     "count_containing_batched",
     "count_wedges_batched",
-    "ENV_KERNEL_BACKEND",
-    "KERNEL_BACKENDS",
-    "KERNEL_BACKEND_CHOICES",
-    "numba_available",
-    "resolve_backend",
-    "get_backend",
-    "set_backend",
-    "use_backend",
 ]

@@ -167,12 +167,7 @@ class WorkerPayload:
     ``request_id`` carries the originating request's trace id across the
     pickle boundary (contextvars do not survive it); the worker re-enters
     :func:`repro.obs.trace.trace` with it so worker-side structured events
-    correlate with the parent's. ``kernel_backend`` likewise ships the
-    parent's resolved counting-kernel backend (``set_backend`` /
-    ``REPRO_KERNEL_BACKEND`` are process state a spawned worker would not
-    otherwise see); the worker re-enters it via
-    :func:`repro.fastcore.use_backend`, failing loudly if the backend is
-    unavailable there.
+    correlate with the parent's.
     """
 
     edge_ptr: np.ndarray
@@ -183,7 +178,6 @@ class WorkerPayload:
     capture: bool = False
     failure: Optional[UnitFailure] = None
     request_id: Optional[str] = None
-    kernel_backend: Optional[str] = None
 
     @classmethod
     def failed(
@@ -312,7 +306,6 @@ def execute_payload(payload: WorkerPayload):
     # worker process pays the import once.
     from repro.api.config import spec_from_dict
     from repro.api.engine import MotifEngine
-    from repro.fastcore.backend import use_backend
     from repro.store.artifacts import ArtifactStore
 
     if payload.failure is not None:
@@ -333,8 +326,7 @@ def execute_payload(payload: WorkerPayload):
             )
             store = ArtifactStore(payload.store_dir) if payload.store_dir else False
             engine = MotifEngine(hypergraph, store=store)
-            with use_backend(payload.kernel_backend):
-                result = dispatch_spec(engine, spec_from_dict(payload.spec))
+            result = dispatch_spec(engine, spec_from_dict(payload.spec))
         except Exception as error:
             log_event(
                 LOGGER,

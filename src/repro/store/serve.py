@@ -79,7 +79,6 @@ from repro.api.results import (
     ProfileResult,
 )
 from repro.exceptions import ServeError, SpecError
-from repro.fastcore.backend import get_backend
 from repro.hypergraph.builders import TemporalHypergraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.motifs.counts import MotifCounts
@@ -803,9 +802,6 @@ class EngineServer:
             # contextvar is still visible here even though it will not
             # survive the pickle boundary.
             request_id=current_request_id(),
-            # Ship the parent's resolved backend: process workers re-read the
-            # environment but not set_backend()/use_backend() state.
-            kernel_backend=get_backend(),
         )
 
     def _engine_lock(self, key: object) -> threading.Lock:

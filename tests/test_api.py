@@ -185,6 +185,15 @@ class TestCountMemoization:
         assert compare.report.rows[0].random_count == pytest.approx(motif[1])
 
 
+class TestKernelPath:
+    def test_legacy_backend_variable_is_ignored(self, small_random_hypergraph, monkeypatch):
+        # Deployments may still export this variable from when it selected a
+        # kernel backend; counting must neither fail nor change under it.
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
+        engine = MotifEngine(small_random_hypergraph, store=False)
+        assert engine.count().counts == count_exact(small_random_hypergraph)
+
+
 class TestCountSpecValidation:
     def test_samples_and_ratio_conflict(self):
         with pytest.raises(CountSpecError):

@@ -258,7 +258,7 @@ class TestServability:
 
         server = EngineServer(store=False)
         [result] = server.submit(
-            [ServeRequest("email-enron-like", VarianceSpec(sampling_ratio=0.5))]
+            [ServeRequest("coauth-history-like", VarianceSpec(sampling_ratio=0.5))]
         )
         assert result.rows and result.sampling_ratio == 0.5
 
