@@ -59,6 +59,19 @@ def _wire_requests(*sources):
     return [{"source": source, "spec": {"type": "count"}} for source in sources]
 
 
+def _wait_for_in_flight(server, count, timeout=30.0):
+    """Block until the live service has exactly *count* batches in flight.
+
+    A client returns as soon as it reads a stream's last record, a moment
+    before the handler releases its admission slot, so tests that reason
+    about slot occupancy synchronize on the gauge instead of sleeping.
+    """
+    deadline = time.monotonic() + timeout
+    while server.service.in_flight != count:
+        assert time.monotonic() < deadline, f"in-flight never reached {count}"
+        time.sleep(0.01)
+
+
 @pytest.fixture
 def running_server(request):
     """Factory for a live service on a free port, drained at teardown."""
@@ -266,6 +279,13 @@ class TestServiceChaos:
         server, client = running_server(
             workers=2, backend="thread", request_timeout=0.8
         )
+        # Cold counts run outside the deadline: on a loaded machine they can
+        # outlast 0.8 s, and only the injected slow unit may time out here.
+        list(
+            server.service.engine_server.submit_stream(
+                _requests(DATASET_A, DATASET_B), capture_errors=True
+            )
+        )
         records = client.batch(_wire_requests(DATASET_A, DATASET_B))  # warm
         assert len(records) == 2
         with faults.injected(
@@ -287,15 +307,19 @@ class TestServiceChaos:
     def test_admission_control_rejects_with_retryable_429(self, running_server):
         server, client = running_server(workers=2, backend="thread", max_queue=1)
         client.batch(_wire_requests(DATASET_A))  # warm the engine
+        _wait_for_in_flight(server, 0)  # the warm batch gave its slot back
         faults.inject("serve.unit", mode="sleep", seconds=2.0, key=DATASET_A)
+        occupied = {}
         occupant = threading.Thread(
-            target=lambda: ServiceClient(port=server.port, timeout=30.0).batch(
-                _wire_requests(DATASET_A)
+            target=lambda: occupied.update(
+                results=ServiceClient(port=server.port, timeout=30.0).batch(
+                    _wire_requests(DATASET_A)
+                )
             )
         )
         occupant.start()
         try:
-            time.sleep(0.3)  # let the occupant take the only queue slot
+            _wait_for_in_flight(server, 1)  # the occupant took the only slot
             # Raw wire check: 429 + Retry-After header + structured body.
             connection = http.client.HTTPConnection(
                 "127.0.0.1", server.port, timeout=10
@@ -321,6 +345,7 @@ class TestServiceChaos:
             assert client.counters.retries >= 1
         finally:
             occupant.join()
+        assert len(occupied["results"]) == 1
         assert client.stats()["service"]["batches_rejected_busy"] >= 2
         assert client.health()["status"] == "ok"
 
