@@ -14,7 +14,9 @@ serve the block gather interface — the array-backed
 :class:`~repro.projection.LazyProjection` both can; any other
 :class:`NeighborhoodProvider` falls back to the per-triple enumeration,
 which is also kept as the instance-level API (``enumerate_instances``).
-All paths visit identical triples and produce bit-identical counts.
+The kernel counts open instances from per-row histograms and meets each
+closed one once, from its minimum hyperedge; all paths produce
+bit-identical full counts.
 """
 
 from __future__ import annotations
@@ -56,9 +58,13 @@ def count_exact(
         Pre-built projected graph; built with Algorithm 1 when omitted.
     hyperedge_indices:
         Restrict the outer loop to these hyperedge indices. Used by the
-        parallel driver to split work; the filter preserves exactness because
-        each instance is attributed to a single "responsible" hyperedge
-        (its center for open instances, its minimum index for closed ones).
+        parallel driver to split work. The kernel path returns the sum of
+        their *shares* (see :func:`repro.fastcore.count_exact_batched`),
+        not the instances attributed to them: a share can hold negative
+        entries, but shares over any partition of the hyperedges sum to the
+        full count. The per-triple fallback attributes each instance to one
+        hyperedge (its center if open, its minimum index if closed), which
+        partitions the full count too.
     """
     if projection is None:
         projection = project(hypergraph)

@@ -13,9 +13,16 @@ here with ``concurrent.futures``:
   useful when the GIL is released (or simply to validate the decomposition);
   threads share the parent's structures with no copying at all.
 
-Correctness does not depend on the executor: the work decomposition assigns
-each h-motif instance to exactly one worker (MoCHy-E) or preserves the i.i.d.
-sampling semantics (MoCHy-A / MoCHy-A+).
+Correctness does not depend on the executor. For MoCHy-E each worker returns
+the *shares* of its hyperedges (see :func:`repro.fastcore.count_exact_batched`),
+which sum to the full count over any partition of the hyperedges, though one
+worker's partial counts may hold negative entries. MoCHy-A / MoCHy-A+ keep
+the i.i.d. sampling semantics.
+
+MoCHy-E chunks are contiguous index ranges and carry unequal work: each
+closed instance is corrected from its minimum hyperedge, so low-index
+anchors hold most of the pairs above the diagonal. Rebalancing the chunks
+is left open.
 """
 
 from __future__ import annotations
@@ -138,7 +145,7 @@ def count_exact_parallel(
     The projection is built once in the parent; hyperedge indices are split
     into contiguous chunks and each worker runs the batched MoCHy-E kernel
     restricted to its chunk over the shipped CSR arrays. The per-worker
-    counters are summed; results are identical to
+    shares are summed; results are identical to
     :func:`repro.counting.count_exact`.
     """
     require_positive_int(num_workers, "num_workers")

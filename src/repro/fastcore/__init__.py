@@ -20,12 +20,14 @@ batched NumPy kernels that every hot path of the library routes through:
 
 Exactness argument
 ------------------
-The fast core changes the *data layout*, never the arithmetic: every counter
-still visits exactly the triples the paper's algorithms visit, derives the
-same seven Venn-region cardinalities from the same sizes/overlaps
-(inclusion–exclusion, Lemma 2), and increments counters by 1.0 per instance.
-Sums of unit increments are order-independent in floating point, so all
-counts are bit-identical to the reference implementations.
+The fast core changes the *data layout* and the order of summation, never
+the result: every classified triple derives the same seven Venn-region
+cardinalities from the same sizes/overlaps (inclusion–exclusion, Lemma 2).
+The samplers visit exactly the triples the paper's algorithms visit;
+MoCHy-E counts open instances by per-row histograms and corrects them from
+each closed instance once. Every counter is an integer sum in float64, far
+below 2**53, and such sums are order-independent, so all counts are
+bit-identical to the reference implementations.
 """
 
 from repro.fastcore.csr import HypergraphCSR, build_csr

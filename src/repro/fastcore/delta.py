@@ -3,7 +3,8 @@
 Given a counted snapshot and a batch of *added* hyperedges, the delta
 engine updates the projection and the exact motif counts without
 recounting the whole graph. The update exploits three structural facts of
-Algorithm 2's attribution rule:
+the exact kernel's per-anchor *shares* (see
+:func:`repro.fastcore.count_exact_batched`):
 
 1. **Old pair weights are immutable.** Adding hyperedges never changes
    ``|e_j ∩ e_k|`` for existing edges, so every hyperwedge weight, triple
@@ -14,13 +15,15 @@ Algorithm 2's attribution rule:
    contain; aggregating the co-occurrence stream over those *touched*
    nodes alone yields every new pair with its full weight (every shared
    node of such a pair is by definition touched).
-3. **Attribution lands on affected anchors.** Added edges receive the
-   largest indices, so a closed instance involving an added edge has its
-   minimum index either at an added edge or at an old edge adjacent to
-   one, and an open instance's center is adjacent to both leaves —
-   in all cases an *affected* anchor (an added edge, or an old edge that
-   gained a new neighbor). Anchors outside that set contribute
-   bit-identically before and after the delta.
+3. **Shares change only at affected anchors.** An anchor's share is a
+   function of its projected row, its neighbors' sizes and the overlaps
+   among them (and the triple overlaps of its triangles, which fact 1
+   fixes for old edges). An old anchor that gained no new neighbor keeps
+   its row, so its neighbors are all old edges with unchanged sizes and
+   overlaps: its share is bit-identical before and after the delta. Every
+   other anchor is *affected* — an added edge, or an old edge that gained
+   a new neighbor. Affected anchors are counted on the new graph, and the
+   old ones among them also on the old graph, whose shares are removed.
 
 The exact counts are therefore updated as::
 

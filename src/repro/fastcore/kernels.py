@@ -11,36 +11,46 @@ budget, and each block is processed by one vectorized sweep —
 * the neighborhoods of a whole block come from one CSR gather
   (:meth:`AdjacencyArrays.gather_rows`, or a budgeted
   :class:`~repro.projection.lazy.LazyProjection` serving the same interface);
-* candidate pairs for every anchor in the block are enumerated together,
-  degree-bucketed so all anchors of equal degree share one upper-triangle
-  index broadcast;
+* candidate pairs for every anchor in the block are enumerated together as
+  positions in the gathered rows, length-bucketed so all rows of equal
+  length share one cached upper-triangle index broadcast;
 * pairwise overlaps come from one vectorized ``searchsorted`` against the
   projected graph's sorted key array (``pair_weights``); the hyperwedge
   kernel instead merges the two gathered endpoint rows and reads the
   overlaps off their weights;
-* triple overlaps ``|e_i ∩ e_j ∩ e_k|`` use one bitmask row per *(anchor,
-  neighbor)* combination — bit ``p`` set iff the ``p``-th node of the anchor
-  hyperedge belongs to the neighbor — so a pair's overlap is
-  ``popcount(mask_j & mask_k)``; combinations are deduplicated across the
-  block with offset keys ``anchor·|E| + neighbor``;
+* triple overlaps ``|e_i ∩ e_j ∩ e_k|`` use one bitmask row per gathered
+  *(anchor, neighbor)* position — bit ``p`` set iff the ``p``-th node of
+  the anchor hyperedge belongs to the neighbor — so a pair's overlap is
+  ``popcount(mask_j & mask_k)``, indexed by the pair's two positions;
 * the seven Venn-region cardinalities follow from inclusion–exclusion
   (Lemma 2) in vectorized int arithmetic, and the final motif ids come from
   the 128-entry pattern→motif table of
   :func:`repro.motifs.classify.motif_lookup_table` with one fancy index,
   accumulated with a single ``bincount`` per block.
 
-Exactness: the kernels enumerate exactly the triples the reference loops
-enumerate, compute identical integer cardinalities, and raise the same
-exceptions (``MotifError`` / ``DuplicateHyperedgeError`` /
-``NotConnectedError``) on invalid triples. Counters are sums of unit
-increments in float64 (integers far below 2**53), so the resulting
-``MotifCounts`` are bit-identical regardless of block boundaries.
+MoCHy-E (:func:`count_exact_batched`) does not classify every pair of a
+neighborhood. An open pair ``{e_j, e_k}`` around ``e_i`` has a motif fixed by
+three bits, its *as-if-open code*, so every anchor's ``C(|N_i|, 2)`` pairs
+are counted by code from one sort of the block's rows
+(``_accumulate_as_if_open``). Only pairs above the anchor's diagonal
+(``i < j < k``) are enumerated and looked up; the closed ones are the
+projected graph's triangles, each met once, from its minimum hyperedge,
+which adds its true motif and removes the as-if-open codes of its three
+orientations (``_accumulate_triangles``).
+
+Exactness: the kernels compute identical integer cardinalities to the
+reference loops and raise the same exceptions (``MotifError`` /
+``DuplicateHyperedgeError`` / ``NotConnectedError``) on invalid triples — a
+duplicate pair always sits in a triangle, and as-if-open codes are valid
+motifs for any input. Counters are integer sums in float64 (far below
+2**53), so the resulting ``MotifCounts`` are bit-identical regardless of
+block boundaries.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,8 +123,9 @@ _PAIR_CHUNK = 1 << 21
 def _iter_triu_chunks(size: int):
     """Yield ``(left, right)`` position pairs of ``triu_indices(size, 1)``.
 
-    Same pairs and order as the unchunked call, in slabs of at most
-    ``_PAIR_CHUNK`` pairs; small sizes reuse the shared cache.
+    Same pairs and order as the unchunked call, in slabs of whole rows of at
+    most ``_PAIR_CHUNK`` pairs (a longer row comes alone); small sizes reuse
+    the shared cache.
     """
     total = size * (size - 1) // 2
     if total <= _PAIR_CHUNK:
@@ -297,57 +308,71 @@ def _iter_source_blocks(
         start += block.size
 
 
-def _iter_pair_slabs(
+class _BlockRows(NamedTuple):
+    """One gathered anchor block, one entry per (anchor, neighbor) position.
+
+    Entry ``p`` is neighbor ``ids[p]`` of anchor ``anchors[owner[p]]``, with
+    ``weights[p] = ω`` of that hyperwedge and the two hyperedges' sizes.
+    Rows lie back to back, each sorted ascending by neighbor id.
+    """
+
+    anchors: np.ndarray
+    ids: np.ndarray
+    weights: np.ndarray
+    owner: np.ndarray
+    anchor_size: np.ndarray
+    neighbor_size: np.ndarray
+
+
+def _block_rows(
+    sizes: np.ndarray,
     block: np.ndarray,
     ids: np.ndarray,
     weights: np.ndarray,
     lengths: np.ndarray,
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Candidate pairs of a gathered block as flat per-pair arrays.
+) -> _BlockRows:
+    owner = np.repeat(np.arange(block.size, dtype=np.int64), lengths)
+    return _BlockRows(block, ids, weights, owner, sizes[block][owner], sizes[ids])
 
-    Yields ``(anchor, left_ids, right_ids, left_weights, right_weights)``
-    with ``left_ids < right_ids`` elementwise (rows are sorted, and the
-    upper-triangle index orders positions within a row).
+
+def _iter_pair_slabs(
+    starts: np.ndarray, lengths: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Upper-triangle pairs of gathered row segments, as ``(left, right)``.
+
+    Row ``r`` of a gathered block occupies positions ``starts[r]`` to
+    ``starts[r] + lengths[r] - 1``; every pair of positions within one row
+    is yielded once with ``left < right``, so ``ids[left] < ids[right]`` on
+    the sorted rows. A lone row whose pair count exceeds the block budget
+    (a hub) is enumerated in ``_iter_triu_chunks`` slabs, so its memory
+    stays bounded.
     """
     pairs = lengths * (lengths - 1) // 2
     total = int(pairs.sum())
     if total == 0:
         return
-    if block.size == 1 and total > _BLOCK_PAIR_BUDGET:
-        # Hub anchor: its own pair count exceeds the block budget, so
-        # enumerate its upper triangle in bounded chunks.
-        anchor = int(block[0])
+    if lengths.size == 1 and total > _BLOCK_PAIR_BUDGET:
+        start = int(starts[0])
         for left, right in _iter_triu_chunks(int(lengths[0])):
-            yield (
-                np.full(left.size, anchor, dtype=np.int64),
-                ids[left],
-                ids[right],
-                weights[left],
-                weights[right],
-            )
+            yield start + left, start + right
         return
-    left, right, owner = _block_triu_positions(lengths)
-    yield block[owner], ids[left], ids[right], weights[left], weights[right]
+    yield _block_triu_positions(starts, lengths)
 
 
 def _block_triu_positions(
-    lengths: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle positions for every row of a gathered block at once.
+    starts: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle positions for every row segment of a block at once.
 
     Rows are bucketed by degree so all rows of equal length share a single
-    cached ``triu_indices`` broadcast; ``owner`` maps each pair back to its
-    row. Pair order is grouped by degree bucket, not row — the counters sum
-    order-independent unit increments, so this changes nothing observable.
+    cached ``triu_indices`` broadcast. Pair order is grouped by degree
+    bucket, not row — the counters sum order-independent unit increments,
+    so this changes nothing observable.
     """
     pairs = lengths * (lengths - 1) // 2
     total = int(pairs.sum())
     left = np.empty(total, dtype=np.int64)
     right = np.empty(total, dtype=np.int64)
-    owner = np.empty(total, dtype=np.int64)
-    if total == 0:
-        return left, right, owner
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     out = 0
     for degree in np.unique(lengths):
         degree = int(degree)
@@ -356,118 +381,179 @@ def _block_triu_positions(
         rows = np.nonzero(lengths == degree)[0]
         upper_i, upper_j = _triu_pairs(degree)
         count = rows.size * upper_i.size
-        base = offsets[rows][:, None]
+        base = starts[rows][:, None]
         left[out : out + count] = (base + upper_i[None, :]).ravel()
         right[out : out + count] = (base + upper_j[None, :]).ravel()
-        owner[out : out + count] = np.repeat(rows, upper_i.size)
         out += count
-    return left, right, owner
+    return left, right
 
 
-def _triple_overlaps_blocked(
-    csr: HypergraphCSR,
-    anchors: np.ndarray,
-    left_ids: np.ndarray,
-    right_ids: np.ndarray,
-    closed: np.ndarray,
+def _triple_overlaps(
+    csr: HypergraphCSR, rows: _BlockRows, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
-    """Triple overlaps ``|e_anchor ∩ e_left ∩ e_right|`` for closed pairs.
+    """``|e_i ∩ e_j ∩ e_k|`` for pairs of positions within a block's rows.
 
-    One bitmask row is built per distinct *(anchor, neighbor)* combination —
-    bit ``p`` set iff the ``p``-th node of the anchor hyperedge also belongs
-    to the neighbor — so each pair's overlap is one ``popcount(mask_l &
-    mask_r)``. Combinations are deduplicated across the whole block with
-    offset keys, and only anchors participating in a closed pair gather any
-    node data at all.
+    One bitmask row is built per position a pair uses — bit ``b`` set iff
+    the ``b``-th node of the position's anchor also belongs to its neighbor
+    — so each overlap is one ``popcount(mask_left & mask_right)``, with the
+    masks indexed by position.
     """
-    overlaps = np.zeros(len(left_ids), dtype=np.int64)
-    if not closed.any():
-        return overlaps
-    edge_scale = np.int64(max(csr.num_edges, 1))
-    closed_anchors = anchors[closed].astype(np.int64)
-    left_keys = closed_anchors * edge_scale + left_ids[closed]
-    right_keys = closed_anchors * edge_scale + right_ids[closed]
-    combos = np.unique(np.concatenate([left_keys, right_keys]))
-    combo_anchor = combos // edge_scale
-    combo_neighbor = combos % edge_scale
-
-    used_anchors = np.unique(combo_anchor)
+    used = np.zeros(rows.ids.size, dtype=bool)
+    used[left] = True
+    used[right] = True
+    positions = np.flatnonzero(used)
+    mask_row = np.cumsum(used) - 1
+    # The block's anchor nodes as one haystack keyed block_pos·|V| + node
+    # (sorted, since each hyperedge row is), with each node's bit position
+    # within its own row.
     anchor_positions, anchor_owner = gather_row_positions(
-        csr.edge_ptr, used_anchors
+        csr.edge_ptr, rows.anchors
     )
-    anchor_nodes = csr.edge_nodes[anchor_positions]
-    anchor_lengths = (
-        csr.edge_ptr[used_anchors + 1] - csr.edge_ptr[used_anchors]
-    ).astype(np.int64)
-    anchor_offsets = np.concatenate(([0], np.cumsum(anchor_lengths)[:-1]))
-    # Local bit position of each anchor node within its own (sorted) row.
-    local_bit = np.arange(anchor_nodes.size, dtype=np.int64) - np.repeat(
-        anchor_offsets, anchor_lengths
+    anchor_lengths = csr.edge_sizes[rows.anchors].astype(np.int64)
+    local_bit = np.arange(anchor_positions.size, dtype=np.int64) - np.repeat(
+        np.cumsum(anchor_lengths) - anchor_lengths, anchor_lengths
     )
     node_scale = np.int64(max(csr.num_nodes, 1))
-    haystack = anchor_owner * node_scale + anchor_nodes
+    haystack = anchor_owner * node_scale + csr.edge_nodes[anchor_positions]
 
-    words = max(1, (int(anchor_lengths.max()) + 63) // 64)
-    masks = np.zeros((combos.size, words), dtype=np.uint64)
-    values, value_owner = _gather_rows(csr.edge_ptr, csr.edge_nodes, combo_neighbor)
-    combo_anchor_pos = np.searchsorted(used_anchors, combo_anchor)
-    hit, positions = sorted_member_positions(
-        haystack, combo_anchor_pos[value_owner] * node_scale + values
+    values, value_owner = _gather_rows(
+        csr.edge_ptr, csr.edge_nodes, rows.ids[positions]
     )
-    bit = local_bit[positions[hit]].astype(np.uint64)
+    hit, at = sorted_member_positions(
+        haystack, rows.owner[positions[value_owner]] * node_scale + values
+    )
+    bit = local_bit[at[hit]].astype(np.uint64)
+    words = max(1, (int(anchor_lengths.max()) + 63) // 64)
+    masks = np.zeros((positions.size, words), dtype=np.uint64)
     np.bitwise_or.at(
         masks,
         (value_owner[hit], (bit >> np.uint64(6)).astype(np.int64)),
         np.uint64(1) << (bit & np.uint64(63)),
     )
-    left_rows = np.searchsorted(combos, left_keys)
-    right_rows = np.searchsorted(combos, right_keys)
-    overlaps[closed] = _popcount_rows(masks[left_rows] & masks[right_rows])
-    return overlaps
+    return _popcount_rows(masks[mask_row[left]] & masks[mask_row[right]])
 
 
-def _accumulate_pair_slab(
+# Pattern bits every open pair shares: e_a ∩ e_c and e_b ∩ e_c nonempty,
+# every region inside e_a ∩ e_b empty (``classify_batch``'s region order).
+_OPEN_PATTERN = (1 << 3) | (1 << 5)
+
+
+def _as_if_open_codes(
+    size_c: np.ndarray,
+    size_a: np.ndarray,
+    size_b: np.ndarray,
+    weight_ca: np.ndarray,
+    weight_cb: np.ndarray,
+) -> np.ndarray:
+    """As-if-open codes (0–7) of pairs ``{e_a, e_b}`` around centres ``e_c``.
+
+    If ``e_a ∩ e_b`` were empty, the pair's pattern would be
+    ``_OPEN_PATTERN`` plus three bits: ``|e_c| > ω_ca + ω_cb``,
+    ``|e_a| > ω_ca`` and ``|e_b| > ω_cb``. All 8 such patterns are valid
+    open motifs (17–22), so the codes never need checking.
+    """
+    code = (size_c > weight_ca + weight_cb).view(np.uint8)
+    code |= (size_a > weight_ca).view(np.uint8) << np.uint8(1)
+    code |= (size_b > weight_cb).view(np.uint8) << np.uint8(2)
+    return code
+
+
+def _accumulate_as_if_open(open_codes: np.ndarray, rows: _BlockRows) -> None:
+    """Add each anchor's ``C(|N_i|, 2)`` neighbor pairs by as-if-open code.
+
+    A pair's code needs the bit ``|e_j| > ω_ij`` of each neighbor and whether
+    ``ω_ij + ω_ik < |e_i|``. With the block's entries sorted by ``(anchor,
+    bit, ω)``, one ``searchsorted`` per bit counts, for every entry ``j``,
+    the entries ``k`` of its row with that bit and ``ω_ik < |e_i| - ω_ij``;
+    per-row bit counts give the pair totals. No pair is enumerated.
+    """
+    if rows.ids.size == 0:
+        return
+    weights = rows.weights
+    bit = rows.neighbor_size > weights
+    zero = ~bit
+    group = 2 * rows.owner + bit
+    # ω_ij ≤ |e_i|, so weights and thresholds both fit below the scale.
+    scale = int(rows.anchor_size.max()) + 1
+    keys = np.sort(group * scale + weights)
+    group_size = np.bincount(group, minlength=2 * rows.anchors.size)
+    group_start = np.cumsum(group_size) - group_size
+    threshold = rows.anchor_size - weights
+    one_group = 2 * rows.owner + 1
+    below_one = (
+        np.searchsorted(keys, one_group * scale + threshold) - group_start[one_group]
+    )
+    zero_group = 2 * rows.owner[zero]
+    below_zero = (
+        np.searchsorted(keys, zero_group * scale + threshold[zero])
+        - group_start[zero_group]
+    )
+    # An entry counts itself when 2·ω_ij < |e_i|, and a pair of equal bits
+    # is counted from both of its entries. Keys are the neighbor bits of a
+    # code (bits 1 and 2); bit 0 is set for the pairs below the threshold.
+    counts_self = 2 * weights < rows.anchor_size
+    below = {
+        0b000: (int(below_zero.sum()) - int(counts_self[zero].sum())) // 2,
+        0b100: int(below_one[zero].sum()),
+        0b110: (int(below_one[bit].sum()) - int(counts_self[bit].sum())) // 2,
+    }
+    num_zero = group_size[0::2]
+    num_one = group_size[1::2]
+    pairs = {
+        0b000: num_zero * (num_zero - 1) // 2,
+        0b100: num_zero * num_one,
+        0b110: num_one * (num_one - 1) // 2,
+    }
+    for code, count in below.items():
+        open_codes[code | 1] += count
+        open_codes[code] += int(pairs[code].sum()) - count
+
+
+def _accumulate_triangles(
     csr: HypergraphCSR,
     source,
-    sizes: np.ndarray,
     totals: np.ndarray,
-    anchor: np.ndarray,
-    left_ids: np.ndarray,
-    right_ids: np.ndarray,
-    left_weights: np.ndarray,
-    right_weights: np.ndarray,
-    attribute_min: bool,
+    open_codes: np.ndarray,
+    rows: _BlockRows,
+    left: np.ndarray,
+    right: np.ndarray,
 ) -> None:
-    """Classify one slab of candidate pairs and fold it into *totals*.
+    """Correct the as-if-open counts for the closed upper pairs of a slab.
 
-    ``attribute_min`` applies Algorithm 2's dedup rule — a closed instance is
-    counted only from its minimum-index hyperedge (``left_ids`` is the pair
-    minimum because rows are sorted) — while the sampling counters visit
-    every instance containing the anchor.
+    The pairs lie above each anchor's diagonal (``i < j < k``), so a closed
+    one is a triangle of the projected graph, met once, from its minimum
+    hyperedge. Each adds its true motif to *totals* and removes from
+    *open_codes* the as-if-open codes its three orientations contributed
+    to the histograms of ``e_i``, ``e_j`` and ``e_k``.
     """
-    weight_jk = source.pair_weights(left_ids, right_ids).astype(np.int64)
-    if attribute_min:
-        keep = (weight_jk == 0) | (anchor < left_ids)
-        if not keep.any():
-            return
-        anchor = anchor[keep]
-        left_ids = left_ids[keep]
-        right_ids = right_ids[keep]
-        left_weights = left_weights[keep]
-        right_weights = right_weights[keep]
-        weight_jk = weight_jk[keep]
+    weight_jk = source.pair_weights(rows.ids[left], rows.ids[right])
     closed = weight_jk > 0
-    triple = _triple_overlaps_blocked(csr, anchor, left_ids, right_ids, closed)
+    if not closed.any():
+        return
+    left = left[closed]
+    right = right[closed]
+    weight_jk = weight_jk[closed]
+    size_i = rows.anchor_size[left]
+    size_j = rows.neighbor_size[left]
+    size_k = rows.neighbor_size[right]
+    weight_ij = rows.weights[left]
+    weight_ik = rows.weights[right]
     motifs = classify_batch(
-        sizes[anchor],
-        sizes[left_ids],
-        sizes[right_ids],
-        left_weights,
+        size_i,
+        size_j,
+        size_k,
+        weight_ij,
         weight_jk,
-        right_weights,
-        triple,
+        weight_ik,
+        _triple_overlaps(csr, rows, left, right),
     )
     totals += np.bincount(motifs, minlength=NUM_MOTIFS + 1)
+    for codes in (
+        _as_if_open_codes(size_i, size_j, size_k, weight_ij, weight_ik),
+        _as_if_open_codes(size_j, size_i, size_k, weight_ij, weight_jk),
+        _as_if_open_codes(size_k, size_i, size_j, weight_ik, weight_jk),
+    ):
+        open_codes -= np.bincount(codes, minlength=8)
 
 
 def count_exact_batched(
@@ -477,21 +563,57 @@ def count_exact_batched(
 ) -> np.ndarray:
     """Exact h-motif counts (MoCHy-E) as a length-26 float array.
 
-    For each anchor ``e_i`` the candidate pairs are every unordered
-    ``{e_j, e_k} ⊆ N_{e_i}``; a pair is counted iff it is open (seen only
-    from its center) or ``i < min(j, k)`` (a closed instance is attributed to
-    its minimum index), exactly as in Algorithm 2. Anchors are processed in
+    With *hyperedge_indices*, the result is the sum of those anchors'
+    *shares*. Anchor ``e_i``'s share counts every unordered pair of
+    ``N_{e_i}`` under its as-if-open motif — an open pair is seen only from
+    its centre, so that is its true motif — plus, for every triangle
+    ``{e_i, e_j, e_k}`` of the projected graph with ``i < j < k``, its true
+    motif minus the as-if-open motifs of its three orientations. Shares
+    over any partition of the anchors sum to the full count. A share can
+    hold negative entries, and it depends only on the anchor's row, its
+    neighbors' sizes and the overlaps among them. Anchors are processed in
     pair-budgeted blocks with no per-anchor Python iteration.
     """
     anchors = _as_anchor_array(hyperedge_indices, csr.num_edges)
     totals = np.zeros(NUM_MOTIFS + 1, dtype=np.float64)
-    sizes = csr.edge_sizes
+    open_codes = np.zeros(8, dtype=np.int64)
     for block, ids, weights, lengths in _iter_source_blocks(adjacency, anchors):
-        for slab in _iter_pair_slabs(block, ids, weights, lengths):
-            _accumulate_pair_slab(
-                csr, adjacency, sizes, totals, *slab, attribute_min=True
-            )
+        rows = _block_rows(csr.edge_sizes, block, ids, weights, lengths)
+        _accumulate_as_if_open(open_codes, rows)
+        # Rows are sorted, so each anchor's upper tail (ids above the
+        # anchor) is the row's last entries.
+        lower = np.bincount(rows.owner[ids < block[rows.owner]], minlength=block.size)
+        starts = np.cumsum(lengths) - lengths + lower
+        for left, right in _iter_pair_slabs(starts, lengths - lower):
+            _accumulate_triangles(csr, adjacency, totals, open_codes, rows, left, right)
+    np.add.at(totals, motif_lookup_table()[_OPEN_PATTERN + np.arange(8)], open_codes)
     return totals[1:]
+
+
+def _accumulate_pair_slab(
+    csr: HypergraphCSR,
+    source,
+    totals: np.ndarray,
+    rows: _BlockRows,
+    left: np.ndarray,
+    right: np.ndarray,
+) -> None:
+    """Classify one slab of neighbor pairs around their anchors into *totals*."""
+    weight_jk = source.pair_weights(rows.ids[left], rows.ids[right])
+    closed = weight_jk > 0
+    triple = np.zeros(left.size, dtype=np.int64)
+    if closed.any():
+        triple[closed] = _triple_overlaps(csr, rows, left[closed], right[closed])
+    motifs = classify_batch(
+        rows.anchor_size[left],
+        rows.neighbor_size[left],
+        rows.neighbor_size[right],
+        rows.weights[left],
+        weight_jk,
+        rows.weights[right],
+        triple,
+    )
+    totals += np.bincount(motifs, minlength=NUM_MOTIFS + 1)
 
 
 def count_containing_batched(
@@ -511,31 +633,20 @@ def count_containing_batched(
     """
     anchor_array = _as_anchor_array(anchors, csr.num_edges)
     totals = np.zeros(NUM_MOTIFS + 1, dtype=np.float64)
-    sizes = csr.edge_sizes
     for block, ids, weights, lengths in _iter_source_blocks(
         adjacency, anchor_array
     ):
+        rows = _block_rows(csr.edge_sizes, block, ids, weights, lengths)
         # Case 1: pairs within each anchor's neighborhood.
-        for slab in _iter_pair_slabs(block, ids, weights, lengths):
-            _accumulate_pair_slab(
-                csr, adjacency, sizes, totals, *slab, attribute_min=False
-            )
+        for left, right in _iter_pair_slabs(np.cumsum(lengths) - lengths, lengths):
+            _accumulate_pair_slab(csr, adjacency, totals, rows, left, right)
         # Case 2: e_k adjacent to e_j but not to the anchor.
-        _accumulate_second_hop(
-            csr, adjacency, sizes, totals, block, ids, weights, lengths
-        )
+        _accumulate_second_hop(csr, adjacency, totals, rows)
     return totals[1:]
 
 
 def _accumulate_second_hop(
-    csr: HypergraphCSR,
-    source,
-    sizes: np.ndarray,
-    totals: np.ndarray,
-    block: np.ndarray,
-    ids: np.ndarray,
-    weights: np.ndarray,
-    lengths: np.ndarray,
+    csr: HypergraphCSR, source, totals: np.ndarray, rows: _BlockRows
 ) -> None:
     """Count Algorithm 4 case-2 triples for a gathered anchor block.
 
@@ -545,11 +656,11 @@ def _accumulate_second_hop(
     so the whole block needs no per-anchor iteration. ``e_k ∩ e_i = ∅`` for
     every survivor, so both ``ω(∧_ki)`` and the triple overlap vanish.
     """
+    ids = rows.ids
     if ids.size == 0:
         return
     edge_scale = np.int64(max(csr.num_edges, 1))
-    anchor_pos = np.repeat(np.arange(block.size, dtype=np.int64), lengths)
-    haystack = anchor_pos * edge_scale + ids
+    haystack = rows.owner * edge_scale + ids
     neighbor_degrees = source.row_lengths(ids)
     bounds = np.cumsum(neighbor_degrees)
     start = 0
@@ -565,18 +676,18 @@ def _accumulate_second_hop(
         entry = start + np.repeat(
             np.arange(stop - start, dtype=np.int64), cand_lengths
         )
-        apos = anchor_pos[entry]
+        apos = rows.owner[entry]
         in_neighborhood, _ = sorted_member_positions(
             haystack, apos * edge_scale + cand_ids
         )
-        keep = ~in_neighborhood & (cand_ids != block[apos])
+        keep = ~in_neighborhood & (cand_ids != rows.anchors[apos])
         if keep.any():
             entry = entry[keep]
             motifs = classify_batch(
-                sizes[block[apos[keep]]],
-                sizes[ids[entry]],
-                sizes[cand_ids[keep]],
-                weights[entry],
+                rows.anchor_size[entry],
+                rows.neighbor_size[entry],
+                csr.edge_sizes[cand_ids[keep]],
+                rows.weights[entry],
                 cand_weights[keep],
                 0,
                 0,

@@ -203,8 +203,21 @@ class TestPairChunking:
 
         hypergraph = random_hypergraph(77)
         expected = count_exact(hypergraph)
+        # Budget 1 makes every anchor with more than one candidate pair a
+        # singleton hub block, so its pairs come from the chunk iterator.
+        monkeypatch.setattr(kernels, "_BLOCK_PAIR_BUDGET", 1)
         monkeypatch.setattr(kernels, "_PAIR_CHUNK", 5)
+        slabs_per_call = []
+        iter_chunks = kernels._iter_triu_chunks
+
+        def spy(size):
+            slabs = list(iter_chunks(size))
+            slabs_per_call.append(len(slabs))
+            return iter(slabs)
+
+        monkeypatch.setattr(kernels, "_iter_triu_chunks", spy)
         assert count_exact(hypergraph).to_array().tolist() == expected.to_array().tolist()
+        assert max(slabs_per_call, default=0) > 1, "no hub was split into chunks"
         assert expected == count_exact_reference(hypergraph)
 
     def test_projection_aggregation_identical_under_forced_slabs(self):

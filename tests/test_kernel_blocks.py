@@ -1,7 +1,8 @@
 """Tests for the anchor-block kernel internals of :mod:`repro.fastcore.kernels`.
 
 Pins the triu-cache accounting under concurrency (the double-charge race fix),
-the byte-LUT popcount fallback against an independent reference, and the
+the byte-LUT popcount fallback against an independent reference, the
+block-wide upper-triangle enumeration against ``np.triu_indices``, and the
 block partitioning: shrunk-to-budget anchor blocks, singleton hub blocks that
 take the chunked pair path, and the lazy projection driving the same kernels
 — all bit-identical to :mod:`repro.fastcore.reference` counts.
@@ -17,6 +18,7 @@ import pytest
 from repro.counting.classification import fast_adjacency
 from repro.exceptions import MotifError, NotConnectedError
 from repro.fastcore import kernels
+from repro.fastcore.projection import AdjacencyArrays
 from repro.fastcore.reference import (
     count_containing_reference,
     count_exact_reference,
@@ -135,6 +137,27 @@ class TestPopcountFallback:
         )
 
 
+class TestBlockTriuPositions:
+    def test_rows_match_triu_indices(self):
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(0, 9, size=40)
+        # Disjoint row segments, so every pair names its row.
+        starts = np.cumsum(lengths) - lengths + 10 * np.arange(40)
+        left, right = kernels._block_triu_positions(starts, lengths)
+        want = sorted(
+            (int(start + upper_i), int(start + upper_j))
+            for start, length in zip(starts, lengths)
+            for upper_i, upper_j in zip(*np.triu_indices(int(length), 1))
+        )
+        assert sorted(zip(left.tolist(), right.tolist())) == want
+
+    def test_rows_without_pairs_yield_nothing(self):
+        left, right = kernels._block_triu_positions(
+            np.array([0, 4, 9]), np.array([0, 1, 0])
+        )
+        assert left.size == right.size == 0
+
+
 class TestBlockBoundaries:
     """Tiny block budgets force every partitioning branch; counts must not move."""
 
@@ -154,8 +177,21 @@ class TestBlockBoundaries:
         # exceeds the block budget; chunk size 7 forces several slabs per hub.
         monkeypatch.setattr(kernels, "_BLOCK_PAIR_BUDGET", 1)
         monkeypatch.setattr(kernels, "_PAIR_CHUNK", 7)
+        batches = []
+        lookup = AdjacencyArrays.pair_weights
+
+        def spy(self, rows, cols):
+            batches.append(len(rows))
+            return lookup(self, rows, cols)
+
+        monkeypatch.setattr(AdjacencyArrays, "pair_weights", spy)
         got = kernels.count_exact_batched(hypergraph.csr(), adjacency)
         assert np.array_equal(got, count_exact_reference(hypergraph).to_array())
+        # A chunk holds whole rows of the hub's upper triangle, so one row
+        # longer than the chunk comes alone: at most d_max - 1 pairs.
+        max_degree = int(np.diff(adjacency.ptr).max())
+        assert batches
+        assert max(batches) <= max(7, max_degree - 1)
 
     def test_containing_counts_invariant_under_block_geometry(
         self, graph, monkeypatch

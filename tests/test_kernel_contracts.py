@@ -2,10 +2,14 @@
 
 The NumPy kernels in :mod:`repro.fastcore.kernels` are the one counting path
 behind MoCHy-E, MoCHy-A and MoCHy-A+. Their raw outputs obey the identities
-the estimators rely on: every instance contains three hyperedges, a closed
-instance contains three hyperwedges and an open one two, and MoCHy-E
-attributes each instance to exactly one anchor. The input-contract tests pin
-how anchors may be passed and what empty or out-of-range inputs do.
+the estimators rely on: every instance contains three hyperedges, and a
+closed instance contains three hyperwedges and an open one two. MoCHy-E
+restricted to some anchors returns their *shares*, not the instances they
+attribute: a share may hold negative entries, but shares over any partition
+of the anchors sum to the full count, whatever the anchors' order or
+container. MoCHy-E looks up ``ω(∧_jk)`` only for pairs above the anchor's
+diagonal. The input-contract tests pin how anchors may be passed and what
+empty or out-of-range inputs do.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from repro.fastcore.kernels import (
     count_exact_batched,
     count_wedges_batched,
 )
+from repro.fastcore.projection import AdjacencyArrays, upper_row_starts
 from repro.generators import generate_uniform_random
 from repro.motifs import motif_is_closed
 from repro.motifs.patterns import NUM_MOTIFS
@@ -82,6 +87,26 @@ class TestCountingIdentities:
         ]
         assert np.array_equal(sum(parts), count_exact_batched(csr, adjacency))
 
+    def test_exact_looks_up_only_pairs_above_the_diagonal(self, graph, monkeypatch):
+        """Pairs ``{e_j, e_k}`` of ``N_{e_i}`` with ``i < j < k`` alone need
+        ``ω(∧_jk)``: the rest are counted from per-row histograms."""
+        hypergraph, _, adjacency = graph
+        looked_up = []
+        lookup = AdjacencyArrays.pair_weights
+
+        def spy(self, rows, cols):
+            looked_up.append(len(rows))
+            return lookup(self, rows, cols)
+
+        monkeypatch.setattr(AdjacencyArrays, "pair_weights", spy)
+        count_exact_batched(hypergraph.csr(), adjacency)
+        upper = adjacency.ptr[1:] - upper_row_starts(adjacency.ptr, adjacency.idx)
+        assert sum(looked_up) <= int((upper * (upper - 1) // 2).sum())
+
+
+#: The kernels that take anchor hyperedges, by name.
+ANCHOR_KERNELS = {"containing": count_containing_batched, "exact": count_exact_batched}
+
 
 class TestInputContracts:
     @pytest.mark.parametrize(
@@ -96,19 +121,22 @@ class TestInputContracts:
         hypergraph, _, adjacency = dense
         csr = hypergraph.csr()
         anchors = list(range(0, hypergraph.num_hyperedges, 2))
-        want = count_containing_batched(csr, adjacency, anchors)
-        got = count_containing_batched(csr, adjacency, wrap(anchors))
-        assert np.array_equal(got, want)
+        for name, count in ANCHOR_KERNELS.items():
+            want = count(csr, adjacency, anchors)
+            got = count(csr, adjacency, wrap(anchors))
+            assert np.array_equal(got, want), name
 
     def test_anchor_order_is_irrelevant(self, dense):
         hypergraph, _, adjacency = dense
         csr = hypergraph.csr()
         anchors = np.arange(hypergraph.num_hyperedges)
-        shuffled = np.random.default_rng(0).permutation(anchors)
-        assert np.array_equal(
-            count_containing_batched(csr, adjacency, shuffled),
-            count_containing_batched(csr, adjacency, anchors),
-        )
+        rng = np.random.default_rng(0)
+        for name, count in ANCHOR_KERNELS.items():
+            for subset in (anchors, anchors[::2]):
+                shuffled = rng.permutation(subset)
+                assert np.array_equal(
+                    count(csr, adjacency, shuffled), count(csr, adjacency, subset)
+                ), name
 
     @pytest.mark.parametrize(
         "count",
