@@ -24,7 +24,10 @@ Beyond its private memo, an engine can be handed an
 or the ``REPRO_STORE_DIR``-backed process default): deterministic artifacts —
 the full projection, exact/seeded counts, null-model averages and profiles —
 are then looked up in the store before computing and persisted after, keyed
-by the hypergraph's content fingerprint. Engines sharing a store share work
+by the hypergraph's content fingerprint (prediction grids by the temporal
+fingerprint, chain snapshots by their lineage fingerprint). Every such read
+and write goes through one private pair, ``_load``/``_save``, which does no
+store work at all when no store is attached. Engines sharing a store share work
 across instances, and a persistent store directory makes cold runs in new
 processes warm-start with bit-identical results.
 """
@@ -37,6 +40,7 @@ from dataclasses import dataclass, replace
 from numbers import Integral
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -110,6 +114,10 @@ from repro.utils.timer import Timer
 
 EngineSource = Union[Hypergraph, TemporalHypergraph]
 
+#: A store key's fingerprint: ``None`` (the static fingerprint), a string,
+#: or a callable computing it only when a store is attached.
+_StoreKey = Union[None, str, Callable[[], str]]
+
 EVOLVE_SNAPSHOTS_TOTAL = obs_metrics.counter(
     "repro_evolve_snapshots_total",
     "Evolution-chain snapshots emitted, by serving mode "
@@ -158,6 +166,10 @@ def _is_deterministic_seed(seed) -> bool:
 
 def _copy_counts(counts: MotifCounts) -> MotifCounts:
     return MotifCounts(counts.to_array())
+
+
+def _decode_counts(arrays, meta) -> Optional[MotifCounts]:
+    return codecs.decode_counts(arrays)
 
 
 class MotifEngine:
@@ -292,7 +304,25 @@ class MotifEngine:
             spec.is_exact or _is_deterministic_seed(spec.seed)
         ) and not spec.include_instances
         if cacheable:
-            cached = self._count_cache.get(spec)
+            cached, tier = self._count_cache.get(spec), CACHE_TIER_ENGINE
+            if cached is None:
+                stored = self._load(
+                    codecs.KIND_COUNT, codecs.count_params(spec), _decode_counts
+                )
+                if stored is not None:
+                    # Seed the in-process memo so later calls skip the store.
+                    counts, meta, tier = stored
+                    num_samples = meta.get("num_samples")
+                    cached = self._count_cache[spec] = CountResult(
+                        dataset=self._static().name,
+                        algorithm=spec.algorithm,
+                        counts=counts,
+                        num_samples=None if num_samples is None else int(num_samples),
+                        projection_seconds=0.0,
+                        counting_seconds=0.0,
+                        projection_cached=True,
+                        projection_mode=spec.projection,
+                    )
             if cached is not None:
                 # Nothing ran during this call: report zero timings and mark
                 # the hit instead of replaying the original run's metadata.
@@ -303,16 +333,8 @@ class MotifEngine:
                     counting_seconds=0.0,
                     projection_cached=True,
                     from_cache=True,
-                    cache_tier=CACHE_TIER_ENGINE,
+                    cache_tier=tier,
                 )
-            stored = self._stored_count(spec)
-            if stored is not None:
-                result, tier = stored
-                # Seed the in-process memo so later calls skip the store.
-                self._count_cache[spec] = replace(
-                    result, counts=_copy_counts(result.counts)
-                )
-                return replace(result, from_cache=True, cache_tier=tier)
         hypergraph = self._static()
         provider, projection_seconds, projection_cached = self._counting_projection(spec)
         resolved_samples = self._resolve_samples(spec, hypergraph, provider)
@@ -345,7 +367,13 @@ class MotifEngine:
             # Memoize a private copy; the caller's result stays mutable
             # without aliasing the cache.
             self._count_cache[spec] = replace(result, counts=_copy_counts(counts))
-            self._persist_count(spec, result)
+            self._save(
+                codecs.KIND_COUNT,
+                codecs.count_params(spec),
+                lambda: codecs.encode_counts(
+                    counts, {"num_samples": resolved_samples}
+                ),
+            )
         return result
 
     # ----------------------------------------------------------------- profile
@@ -365,9 +393,26 @@ class MotifEngine:
         hypergraph = self._static()
         storable = real_counts is None and _is_deterministic_seed(spec.seed)
         if storable:
-            stored = self._stored_profile(spec)
+            with Timer() as timer:
+                stored = self._load(
+                    codecs.KIND_PROFILE,
+                    codecs.profile_params(spec),
+                    lambda arrays, _: codecs.decode_profile(
+                        arrays, name=hypergraph.name
+                    ),
+                )
             if stored is not None:
-                return stored
+                profile, _, tier = stored
+                return ProfileResult(
+                    dataset=hypergraph.name,
+                    profile=profile,
+                    algorithm=spec.algorithm,
+                    num_random=spec.num_random,
+                    null_model=spec.null_model,
+                    seconds=timer.elapsed,
+                    from_cache=True,
+                    cache_tier=tier,
+                )
         with Timer() as timer:
             if real_counts is None:
                 real_counts = self.count(spec.count_spec()).counts
@@ -387,7 +432,11 @@ class MotifEngine:
             seconds=timer.elapsed,
         )
         if storable:
-            self._persist_profile(spec, profile)
+            self._save(
+                codecs.KIND_PROFILE,
+                codecs.profile_params(spec),
+                lambda: codecs.encode_profile(profile),
+            )
         return result
 
     # ----------------------------------------------------------------- compare
@@ -449,10 +498,29 @@ class MotifEngine:
         # are deterministic end to end — custom classifier templates carry
         # arbitrary state the store cannot key.
         storable = classifiers is None and _is_deterministic_seed(spec.seed)
+        params = codecs.predict_params(spec, context_window, test_window)
         if storable:
-            stored = self._stored_predict(spec, context_window, test_window)
+            # Keyed by the *temporal* fingerprint: prediction slices by
+            # timestamp and keeps duplicates, which the static (windowed,
+            # deduplicated) fingerprint cannot distinguish.
+            with Timer() as timer:
+                stored = self._load(
+                    codecs.KIND_PREDICT,
+                    params,
+                    codecs.decode_predict,
+                    fingerprint=self._temporal.fingerprint,
+                )
             if stored is not None:
-                return stored
+                result, _, tier = stored
+                return PredictResult(
+                    dataset=self._temporal.name,
+                    result=result,
+                    context_window=context_window,
+                    test_window=test_window,
+                    seconds=timer.elapsed,
+                    from_cache=True,
+                    cache_tier=tier,
+                )
         with Timer() as timer:
             dataset = build_prediction_dataset(
                 self._temporal,
@@ -496,7 +564,13 @@ class MotifEngine:
             seconds=timer.elapsed,
         )
         if storable:
-            self._persist_predict(spec, context_window, test_window, result)
+            self._save(
+                codecs.KIND_PREDICT,
+                params,
+                lambda: codecs.encode_predict(result),
+                fingerprint=self._temporal.fingerprint,
+                dataset=self._temporal.name,
+            )
         return predict_result
 
     # ------------------------------------------------------------------ evolve
@@ -642,9 +716,24 @@ class MotifEngine:
                 tier: Optional[str] = None
                 delta_info: Optional[Dict[str, int]] = None
                 if emit and state is None:
-                    counts, tier = self._stored_chain_counts(
-                        fingerprint, count_params, root=index == 0
+                    stored = self._load(
+                        codecs.KIND_COUNT, count_params, _decode_counts, fingerprint
                     )
+                    # Beyond the root (a plain content fingerprint, shared
+                    # with count() artifacts) a hit needs the lineage
+                    # sidecar too, so a torn chain recounts instead of
+                    # serving counts with unverifiable provenance.
+                    if stored is not None and (
+                        index == 0
+                        or self._load(
+                            codecs.KIND_LINEAGE,
+                            codecs.lineage_params(),
+                            codecs.decode_lineage,
+                            fingerprint,
+                        )
+                        is not None
+                    ):
+                        counts, _, tier = stored
                 if counts is None and (emit or state is not None):
                     if state is None:
                         state = initial_state(accumulated)
@@ -655,16 +744,34 @@ class MotifEngine:
                         delta_info = stats.to_dict()
                     if emit:
                         counts = MotifCounts(state.counts.copy())
-                        self._persist_chain_snapshot(
-                            fingerprint,
+                        dataset = f"{self.name}@{step.label}"
+                        # Counts first, sidecar second: a crash in between
+                        # leaves the count unservable (no lineage proof)
+                        # instead of the chain lying.
+                        self._save(
+                            codecs.KIND_COUNT,
                             count_params,
-                            counts,
-                            step,
-                            parent=None if index == 0 else parent_fingerprint,
-                            digest=digest,
-                            depth=index,
-                            total_edges=len(accumulated),
+                            lambda: codecs.encode_counts(
+                                counts, {"num_samples": None}
+                            ),
+                            fingerprint,
+                            dataset,
                         )
+                        if index > 0:
+                            self._save(
+                                codecs.KIND_LINEAGE,
+                                codecs.lineage_params(),
+                                lambda: codecs.encode_lineage(
+                                    parent_fingerprint,
+                                    digest,
+                                    index,
+                                    step.label,
+                                    len(step.edges),
+                                    len(accumulated),
+                                ),
+                                fingerprint,
+                                dataset,
+                            )
             parent_fingerprint = fingerprint
             if not emit or counts is None:
                 continue
@@ -749,68 +856,6 @@ class MotifEngine:
             )
             EVOLVE_AFFECTED_ANCHORS_TOTAL.inc(snapshot.delta["affected_anchors"])
 
-    def _stored_chain_counts(
-        self, fingerprint: str, count_params: Dict[str, Any], root: bool
-    ) -> Tuple[Optional[MotifCounts], Optional[str]]:
-        """Chain-snapshot counts served from the store, or ``(None, None)``.
-
-        Beyond the root (whose key is a plain content fingerprint,
-        interoperable with :meth:`count` artifacts), a hit requires the
-        lineage sidecar too: counts are persisted *before* the sidecar, so
-        a crash between the two leaves a torn chain that recounts rather
-        than serving counts with unverifiable provenance.
-        """
-        if self._store is None:
-            return None, None
-        hit = self._store.get(codecs.KIND_COUNT, fingerprint, count_params)
-        if hit is None:
-            return None, None
-        arrays, _, tier = hit
-        counts = codecs.decode_counts(arrays)
-        if counts is None:
-            return None, None
-        if not root:
-            lineage = self._store.get(
-                codecs.KIND_LINEAGE, fingerprint, codecs.lineage_params()
-            )
-            if lineage is None or codecs.decode_lineage(lineage[0], lineage[1]) is None:
-                return None, None
-        return counts, tier
-
-    def _persist_chain_snapshot(
-        self,
-        fingerprint: str,
-        count_params: Dict[str, Any],
-        counts: MotifCounts,
-        step: _EvolveStep,
-        parent: Optional[str],
-        digest: Optional[str],
-        depth: int,
-        total_edges: int,
-    ) -> None:
-        if self._store is None:
-            return
-        dataset = f"{self.name}@{step.label}"
-        arrays, meta = codecs.encode_counts(counts, {"num_samples": None})
-        # Counts first, sidecar second: a crash in between leaves the count
-        # unservable (no lineage proof) instead of the chain lying.
-        self._store.put(
-            codecs.KIND_COUNT, fingerprint, count_params, arrays, meta, dataset=dataset
-        )
-        if parent is None:
-            return
-        arrays, meta = codecs.encode_lineage(
-            parent, digest, depth, step.label, len(step.edges), total_edges
-        )
-        self._store.put(
-            codecs.KIND_LINEAGE,
-            fingerprint,
-            codecs.lineage_params(),
-            arrays,
-            meta,
-            dataset=dataset,
-        )
-
     # ---------------------------------------------------------------- variance
     def variance(self, spec: Optional[VarianceSpec] = None) -> VarianceResult:
         """Exact estimator variances of MoCHy-A vs MoCHy-A+ (Theorems 3-5).
@@ -858,9 +903,11 @@ class MotifEngine:
             cached = self._null_cache.get(key)
             if cached is not None:
                 return _copy_counts(cached.mean_counts), CACHE_TIER_ENGINE
-            stored = self._stored_null(spec)
+            stored = self._load(
+                codecs.KIND_NULL, codecs.null_params(spec), codecs.decode_null_counts
+            )
             if stored is not None:
-                null, tier = stored
+                null, _, tier = stored
                 self._null_cache[key] = null
                 return _copy_counts(null.mean_counts), tier
         null = random_motif_counts(
@@ -873,165 +920,66 @@ class MotifEngine:
         )
         if cacheable:
             self._null_cache[key] = null
-            if self._store is not None:
-                arrays, meta = codecs.encode_null_counts(null)
-                self._store.put(
-                    codecs.KIND_NULL,
-                    self.fingerprint,
-                    codecs.null_params(spec),
-                    arrays,
-                    meta,
-                    dataset=self._static().name,
-                )
+            self._save(
+                codecs.KIND_NULL,
+                codecs.null_params(spec),
+                lambda: codecs.encode_null_counts(null),
+            )
         return _copy_counts(null.mean_counts), None
 
     # ------------------------------------------------------------- store layer
-    def _stored_count(self, spec: CountSpec) -> Optional[Tuple[CountResult, str]]:
-        """A memoizable count result served from the artifact store, if any."""
-        if self._store is None:
-            return None
-        hit = self._store.get(
-            codecs.KIND_COUNT, self.fingerprint, codecs.count_params(spec)
-        )
-        if hit is None:
-            return None
-        arrays, meta, tier = hit
-        counts = codecs.decode_counts(arrays)
-        if counts is None:
-            return None
-        num_samples = meta.get("num_samples")
-        result = CountResult(
-            dataset=self._static().name,
-            algorithm=spec.algorithm,
-            counts=counts,
-            num_samples=None if num_samples is None else int(num_samples),
-            projection_seconds=0.0,
-            counting_seconds=0.0,
-            projection_cached=True,
-            projection_mode=spec.projection,
-        )
-        return result, tier
-
-    def _persist_count(self, spec: CountSpec, result: CountResult) -> None:
-        if self._store is None:
-            return
-        arrays, meta = codecs.encode_counts(
-            result.counts, {"num_samples": result.num_samples}
-        )
-        self._store.put(
-            codecs.KIND_COUNT,
-            self.fingerprint,
-            codecs.count_params(spec),
-            arrays,
-            meta,
-            dataset=result.dataset,
-        )
-
-    def _stored_null(self, spec) -> Optional[Tuple[NullModelCounts, str]]:
-        if self._store is None:
-            return None
-        hit = self._store.get(
-            codecs.KIND_NULL, self.fingerprint, codecs.null_params(spec)
-        )
-        if hit is None:
-            return None
-        arrays, meta, tier = hit
-        null = codecs.decode_null_counts(arrays, meta)
-        if null is None:
-            return None
-        return null, tier
-
-    def _stored_profile(self, spec: ProfileSpec) -> Optional[ProfileResult]:
-        if self._store is None:
-            return None
-        with Timer() as timer:
-            hit = self._store.get(
-                codecs.KIND_PROFILE, self.fingerprint, codecs.profile_params(spec)
-            )
-            if hit is None:
-                return None
-            arrays, _, tier = hit
-            profile = codecs.decode_profile(arrays, name=self._static().name)
-        if profile is None:
-            return None
-        return ProfileResult(
-            dataset=self._static().name,
-            profile=profile,
-            algorithm=spec.algorithm,
-            num_random=spec.num_random,
-            null_model=spec.null_model,
-            seconds=timer.elapsed,
-            from_cache=True,
-            cache_tier=tier,
-        )
-
-    def _persist_profile(self, spec: ProfileSpec, profile) -> None:
-        if self._store is None:
-            return
-        arrays, meta = codecs.encode_profile(profile)
-        self._store.put(
-            codecs.KIND_PROFILE,
-            self.fingerprint,
-            codecs.profile_params(spec),
-            arrays,
-            meta,
-            dataset=self._static().name,
-        )
-
-    def _stored_predict(
+    def _load(
         self,
-        spec: PredictSpec,
-        context_window: Tuple[int, int],
-        test_window: Tuple[int, int],
-    ) -> Optional[PredictResult]:
-        """A whole predict score grid served from the artifact store, if any.
+        kind: str,
+        params: Dict[str, Any],
+        decode: Callable[[Dict[str, Any], Dict[str, Any]], Optional[Any]],
+        fingerprint: _StoreKey = None,
+    ) -> Optional[Tuple[Any, Dict[str, Any], str]]:
+        """``(artifact, meta, tier)`` from the attached store, or ``None``.
 
-        Keyed by the *temporal* fingerprint — prediction slices by timestamp
-        and keeps duplicates, which the static (windowed, deduplicated)
-        fingerprint cannot distinguish.
+        ``None`` means no store, a miss, or a payload that *decode* rejects
+        (a bad payload is a miss; the caller recomputes). The key is
+        *fingerprint* — a string, or a callable so that it is only computed
+        when a store is attached — defaulting to the static fingerprint.
         """
         if self._store is None:
             return None
-        with Timer() as timer:
-            hit = self._store.get(
-                codecs.KIND_PREDICT,
-                self._temporal.fingerprint(),
-                codecs.predict_params(spec, context_window, test_window),
-            )
-            if hit is None:
-                return None
-            arrays, meta, tier = hit
-            result = codecs.decode_predict(arrays, meta)
-        if result is None:
+        hit = self._store.get(kind, self._store_key(fingerprint), params)
+        if hit is None:
             return None
-        return PredictResult(
-            dataset=self._temporal.name,
-            result=result,
-            context_window=context_window,
-            test_window=test_window,
-            seconds=timer.elapsed,
-            from_cache=True,
-            cache_tier=tier,
-        )
+        arrays, meta, tier = hit
+        artifact = decode(arrays, meta)
+        return None if artifact is None else (artifact, meta, tier)
 
-    def _persist_predict(
+    def _save(
         self,
-        spec: PredictSpec,
-        context_window: Tuple[int, int],
-        test_window: Tuple[int, int],
-        result: PredictionExperimentResult,
+        kind: str,
+        params: Dict[str, Any],
+        encode: Callable[[], Tuple[Dict[str, Any], Dict[str, Any]]],
+        fingerprint: _StoreKey = None,
+        dataset: Optional[str] = None,
     ) -> None:
+        """Persist ``encode()`` under the same key as :meth:`_load`.
+
+        Nothing is encoded or fingerprinted without an attached store.
+        *dataset* labels the entry and defaults to the static name.
+        """
         if self._store is None:
             return
-        arrays, meta = codecs.encode_predict(result)
+        arrays, meta = encode()
         self._store.put(
-            codecs.KIND_PREDICT,
-            self._temporal.fingerprint(),
-            codecs.predict_params(spec, context_window, test_window),
+            kind,
+            self._store_key(fingerprint),
+            params,
             arrays,
             meta,
-            dataset=self._temporal.name,
+            dataset=self._static().name if dataset is None else dataset,
         )
+
+    def _store_key(self, fingerprint: _StoreKey) -> str:
+        if fingerprint is None:
+            return self.fingerprint
+        return fingerprint if isinstance(fingerprint, str) else fingerprint()
 
     def _predict_windows(
         self, spec: PredictSpec
@@ -1062,33 +1010,26 @@ class MotifEngine:
         """(projection, seconds spent building it now, served-from-cache)."""
         if self._projection is not None:
             return self._projection, 0.0, True
-        if self._store is not None:
-            hit = self._store.get(
-                codecs.KIND_PROJECTION, self.fingerprint, codecs.projection_params()
-            )
-            if hit is not None:
-                arrays, meta, _ = hit
-                loaded = codecs.decode_projection(
-                    arrays, meta, self._static().num_hyperedges
-                )
-                if loaded is not None:
-                    # Served, not built: no build counted, load time rounds
-                    # to the cache-hit contract (projection_seconds == 0).
-                    self._projection = loaded
-                    return self._projection, 0.0, True
+        stored = self._load(
+            codecs.KIND_PROJECTION,
+            codecs.projection_params(),
+            lambda arrays, meta: codecs.decode_projection(
+                arrays, meta, self._static().num_hyperedges
+            ),
+        )
+        if stored is not None:
+            # Served, not built: no build counted, load time rounds to the
+            # cache-hit contract (projection_seconds == 0).
+            self._projection = stored[0]
+            return self._projection, 0.0, True
         with Timer() as timer:
             self._projection = project(self._static())
         self._projection_builds += 1
-        if self._store is not None:
-            arrays, meta = codecs.encode_projection(self._projection)
-            self._store.put(
-                codecs.KIND_PROJECTION,
-                self.fingerprint,
-                codecs.projection_params(),
-                arrays,
-                meta,
-                dataset=self._static().name,
-            )
+        self._save(
+            codecs.KIND_PROJECTION,
+            codecs.projection_params(),
+            lambda: codecs.encode_projection(self._projection),
+        )
         return self._projection, timer.elapsed, False
 
     def _counting_projection(self, spec: CountSpec):

@@ -1,17 +1,20 @@
-"""Shared instance-classification helper for the MoCHy counters.
+"""Per-triple classification and the counters' kernel seam.
 
-Every counter ultimately needs ``h({e_i, e_j, e_k})`` for triples drawn from
-the projected graph. This module centralizes that step so the exact and
-approximate counters cannot drift apart: hyperedge sizes come from the
-hypergraph, pairwise overlaps from the projection (hyperwedge weights ``ω``),
-and the triple overlap is computed by scanning the smallest hyperedge
-(Lemma 2).
+:func:`classify_triple` computes ``h({e_i, e_j, e_k})`` for one triple drawn
+from the projected graph: hyperedge sizes come from the hypergraph, pairwise
+overlaps from the projection (hyperwedge weights ``ω``), and the triple
+overlap is computed by scanning the smallest hyperedge (Lemma 2). It serves
+the instance-level walk (``enumerate_instances``) and the test oracle in
+:mod:`repro.fastcore.reference`. The counters themselves run the batched
+fast-core kernels, reached through :func:`kernel_source`, and have no
+per-triple fallback.
 """
 
 from __future__ import annotations
 
 from typing import Protocol
 
+from repro.exceptions import ProjectionError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.motifs.classify import classify_from_cardinalities, triple_overlap_size
 
@@ -20,10 +23,10 @@ class NeighborhoodProvider(Protocol):
     """The projection interface the counters rely on.
 
     Both :class:`repro.projection.ProjectedGraph` and
-    :class:`repro.projection.LazyProjection` satisfy it. Providers that can
-    additionally expose CSR adjacency arrays (via an ``adjacency_arrays()``
-    method) are routed through the batched fast-core kernels; see
-    :func:`fast_adjacency`.
+    :class:`repro.projection.LazyProjection` satisfy it. The counters
+    additionally need the block interface of :func:`kernel_source`; the
+    per-triple walks of ``enumerate_instances`` and
+    :mod:`repro.fastcore.reference` need only these two methods.
     """
 
     def neighbors(self, i: int) -> dict:  # pragma: no cover - protocol
@@ -50,22 +53,28 @@ _KERNEL_SOURCE_METHODS = ("gather_rows", "row_lengths", "pair_weights")
 
 
 def kernel_source(projection: NeighborhoodProvider):
-    """A block-kernel source for *projection*, or ``None`` for the fallback.
+    """The block-kernel source every counter runs on.
 
-    This is the single dispatch seam between the per-triple fallback loops
-    and the batched fast-core kernels. Full projections resolve to their
+    Full projections resolve to their
     :class:`~repro.fastcore.projection.AdjacencyArrays`; any other provider
     implementing the gather/lookup interface (today
     :class:`repro.projection.LazyProjection`) is consumed directly, so the
-    memory-budgeted projection runs the same vectorized sweeps. Providers
-    with neither take the per-triple reference path.
+    memory-budgeted projection runs the same vectorized sweeps. A provider
+    with neither raises :class:`~repro.exceptions.ProjectionError` naming
+    the methods it lacks.
     """
     arrays = fast_adjacency(projection)
     if arrays is not None:
         return arrays
-    if all(hasattr(projection, name) for name in _KERNEL_SOURCE_METHODS):
-        return projection
-    return None
+    missing = [
+        name for name in _KERNEL_SOURCE_METHODS if not hasattr(projection, name)
+    ]
+    if missing:
+        raise ProjectionError(
+            f"{type(projection).__name__} cannot drive the block kernels: it "
+            f"lacks adjacency_arrays and {', '.join(missing)}"
+        )
+    return projection
 
 
 def classify_triple(

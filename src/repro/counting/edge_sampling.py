@@ -11,7 +11,7 @@ hyperedges, it is counted ``3s/|E|`` times in expectation, so multiplying by
 Both the array-backed :class:`~repro.projection.ProjectedGraph` and the
 budgeted lazy projection run the per-sample visit through the batched
 fast-core kernel (:func:`repro.fastcore.count_containing_batched`); other
-neighborhood providers use the per-triple fallback.
+neighborhood providers raise :class:`~repro.exceptions.ProjectionError`.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.counting.classification import (
-    NeighborhoodProvider,
-    classify_triple,
-    kernel_source,
-)
+from repro.counting.classification import NeighborhoodProvider, kernel_source
 from repro.exceptions import SamplingError
 from repro.fastcore.kernels import count_containing_batched
 from repro.hypergraph.hypergraph import Hypergraph
@@ -112,34 +108,10 @@ def accumulate_containing(
     of that anchor in *anchors* (duplicates are intentional: sampling is with
     replacement).
     """
-    source = kernel_source(projection)
-    if source is not None:
-        return MotifCounts(
-            count_containing_batched(
-                hypergraph.csr(), source, [int(anchor) for anchor in anchors]
-            )
+    return MotifCounts(
+        count_containing_batched(
+            hypergraph.csr(),
+            kernel_source(projection),
+            [int(anchor) for anchor in anchors],
         )
-    counts = MotifCounts.zeros()
-    for anchor in anchors:
-        _accumulate_instances_containing(hypergraph, projection, int(anchor), counts)
-    return counts
-
-
-def _accumulate_instances_containing(
-    hypergraph: Hypergraph,
-    projection: NeighborhoodProvider,
-    i: int,
-    counts: MotifCounts,
-) -> None:
-    """Per-triple fallback: visit every instance containing ``e_i`` once."""
-    neighbors_i = projection.neighbors(i)
-    neighbor_set = set(neighbors_i)
-    for j in neighbors_i:
-        neighbors_j = projection.neighbors(j)
-        candidates = neighbor_set.union(neighbors_j)
-        candidates.discard(i)
-        candidates.discard(j)
-        for k in candidates:
-            if k not in neighbor_set or j < k:
-                motif = classify_triple(hypergraph, projection, i, j, k)
-                counts.increment(motif)
+    )

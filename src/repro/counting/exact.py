@@ -7,16 +7,16 @@ instance. An open instance (``e_j ∩ e_k = ∅``) is seen only from its center
 counted only when ``i < min(j, k)``. This guarantees every instance is counted
 exactly once. Complexity is ``O(Σ_i |N_{e_i}|² · |e_i|)`` (Theorem 1).
 
-``count_exact`` routes through the batched fast-core kernel
-(:func:`repro.fastcore.count_exact_batched`) whenever the projection can
-serve the block gather interface — the array-backed
-:class:`~repro.projection.ProjectedGraph` *and* the budgeted
-:class:`~repro.projection.LazyProjection` both can; any other
-:class:`NeighborhoodProvider` falls back to the per-triple enumeration,
-which is also kept as the instance-level API (``enumerate_instances``).
-The kernel counts open instances from per-row histograms and meets each
-closed one once, from its minimum hyperedge; all paths produce
-bit-identical full counts.
+``count_exact`` runs the batched fast-core kernel
+(:func:`repro.fastcore.count_exact_batched`) over a projection that serves
+the block gather interface — the array-backed
+:class:`~repro.projection.ProjectedGraph` and the budgeted
+:class:`~repro.projection.LazyProjection` both do; any other provider
+raises :class:`~repro.exceptions.ProjectionError`. The kernel counts open
+instances from per-row histograms and meets each closed one once, from its
+minimum hyperedge. The per-triple walk remains only as the instance-level
+API (``enumerate_instances``) and in :mod:`repro.fastcore.reference`; both
+produce bit-identical full counts.
 """
 
 from __future__ import annotations
@@ -58,25 +58,18 @@ def count_exact(
         Pre-built projected graph; built with Algorithm 1 when omitted.
     hyperedge_indices:
         Restrict the outer loop to these hyperedge indices. Used by the
-        parallel driver to split work. The kernel path returns the sum of
-        their *shares* (see :func:`repro.fastcore.count_exact_batched`),
-        not the instances attributed to them: a share can hold negative
-        entries, but shares over any partition of the hyperedges sum to the
-        full count. The per-triple fallback attributes each instance to one
-        hyperedge (its center if open, its minimum index if closed), which
-        partitions the full count too.
+        parallel driver to split work. Returns the sum of their *shares*
+        (see :func:`repro.fastcore.count_exact_batched`), not the instances
+        attributed to them: a share can hold negative entries, but shares
+        over any partition of the hyperedges sum to the full count.
     """
     if projection is None:
         projection = project(hypergraph)
-    source = kernel_source(projection)
-    if source is not None:
-        return MotifCounts(
-            count_exact_batched(hypergraph.csr(), source, hyperedge_indices)
+    return MotifCounts(
+        count_exact_batched(
+            hypergraph.csr(), kernel_source(projection), hyperedge_indices
         )
-    counts = MotifCounts.zeros()
-    for instance in enumerate_instances(hypergraph, projection, hyperedge_indices):
-        counts.increment(instance.motif)
-    return counts
+    )
 
 
 def enumerate_instances(

@@ -18,7 +18,7 @@ in the lexicographic hyperwedge order are mapped to ``(i, j)`` pairs by
 per-wedge visit then runs through the batched fast-core kernel
 (:func:`repro.fastcore.count_wedges_batched`) — for the lazy projection only
 the row fetches honor the memoization budget; other neighborhood providers
-use the per-triple fallback and need an explicit hyperwedge list.
+raise :class:`~repro.exceptions.ProjectionError`.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.counting.classification import (
-    NeighborhoodProvider,
-    classify_triple,
-    kernel_source,
-)
+from repro.counting.classification import NeighborhoodProvider, kernel_source
 from repro.exceptions import SamplingError
 from repro.fastcore.kernels import count_wedges_batched
 from repro.hypergraph.hypergraph import Hypergraph
@@ -152,34 +148,9 @@ def accumulate_containing_wedges(
 
     *wedges* is a sequence of ``(i, j)`` pairs or an ``(n, 2)`` array.
     """
-    source = kernel_source(projection)
-    if source is not None:
-        return MotifCounts(count_wedges_batched(hypergraph.csr(), source, wedges))
-    counts = MotifCounts.zeros()
-    for i, j in wedges:
-        _accumulate_instances_containing_wedge(
-            hypergraph, projection, int(i), int(j), counts
-        )
-    return counts
-
-
-def _accumulate_instances_containing_wedge(
-    hypergraph: Hypergraph,
-    projection: NeighborhoodProvider,
-    i: int,
-    j: int,
-    counts: MotifCounts,
-) -> None:
-    """Per-triple fallback: visit every instance containing ``∧_ij`` once."""
-    neighbors_i = projection.neighbors(i)
-    neighbors_j = projection.neighbors(j)
-    candidates = set(neighbors_i)
-    candidates.update(neighbors_j)
-    candidates.discard(i)
-    candidates.discard(j)
-    for k in candidates:
-        motif = classify_triple(hypergraph, projection, i, j, k)
-        counts.increment(motif)
+    return MotifCounts(
+        count_wedges_batched(hypergraph.csr(), kernel_source(projection), wedges)
+    )
 
 
 def _rescale(raw: MotifCounts, num_hyperwedges: int, num_samples: int) -> MotifCounts:

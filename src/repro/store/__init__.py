@@ -25,7 +25,6 @@ dragging in the API layer).
 
 from repro.store.artifacts import (
     ENV_STORE_DIR,
-    FLAT_FORMAT_VERSION,
     FORMAT_VERSION,
     TIER_DISK,
     TIER_MEMORY,
@@ -72,7 +71,6 @@ __all__ = [
     "params_digest",
     "ENV_STORE_DIR",
     "FORMAT_VERSION",
-    "FLAT_FORMAT_VERSION",
     "TIER_MEMORY",
     "TIER_DISK",
 ]

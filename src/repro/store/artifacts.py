@@ -1,7 +1,7 @@
 """The two-tier artifact store: bounded in-memory LRU over an LSM disk tier.
 
 The store keeps computed artifacts — projections, motif counts, null-model
-averages, characteristic profiles, hyperwedge lists, prediction results —
+averages, characteristic profiles, prediction results, lineage sidecars —
 keyed by ``(kind, dataset fingerprint, canonical parameters)``. Lookups hit
 the hot in-memory tier first (a bounded LRU shared by every engine holding
 the store), then the persistent tier, which survives the process and makes
@@ -25,10 +25,9 @@ record, so a published record never references a missing payload. Each
 record carries the entry's format version, its full parameter mapping and a
 SHA-256 checksum of the payload bytes; reads re-verify all three and treat
 any mismatch — truncation, corruption, a digest collision, a layout
-upgrade — as a miss, falling back to recomputation. A directory written by
-the flat version-1 layout is migrated in place on open (every artifact
-kept); a manifest with an unknown version suspends the disk tier entirely
-(reads miss, writes are skipped) until :meth:`~ArtifactStore.gc` resets it.
+upgrade — as a miss, falling back to recomputation. A top-level manifest of
+any other layout version suspends the disk tier entirely (reads miss, writes
+are skipped) until :meth:`~ArtifactStore.gc` resets it.
 
 The store is safe under **concurrent same-directory writers** — parallel
 serving workers (threads or processes) persisting overlapping fingerprints.
@@ -62,14 +61,12 @@ from repro.store.fingerprint import params_digest
 from repro.utils.logging import get_logger
 from repro.store.locks import FileLock
 from repro.store.lsm import (
-    FLAT_FORMAT_VERSION,
     FORMAT_VERSION,
     EvictionPolicy,
     GCStats,
     LSMDiskTier,
     StoreEntry,
     atomic_write_bytes as _atomic_write_bytes,
-    jsonify_params as _jsonify_params,
     shard_of,
 )
 
@@ -80,7 +77,6 @@ __all__ = [
     "GCStats",
     "EvictionPolicy",
     "FORMAT_VERSION",
-    "FLAT_FORMAT_VERSION",
     "ENV_STORE_DIR",
     "TIER_MEMORY",
     "TIER_DISK",
@@ -192,9 +188,10 @@ class ArtifactStore:
         # Created eagerly (construction never touches the filesystem): a
         # lazily-raced assignment could replace a FileLock another thread
         # holds, leaking its lock fd and wedging every future disk write.
-        # The global lock now guards only whole-store transitions — the
-        # top-level manifest, flat-layout migration and stale wipes; entry
-        # writes serialize on the tier's per-shard locks instead.
+        # The global lock guards only whole-store transitions — the
+        # top-level manifest write and the stale-store wipe, which other
+        # processes may attempt at the same time; entry writes serialize on
+        # the tier's per-shard locks instead.
         self._write_lock: Optional[FileLock] = (
             FileLock(self._directory / _LOCK_NAME)
             if self._directory is not None
@@ -247,7 +244,7 @@ class ArtifactStore:
 
     @property
     def disk_stale(self) -> bool:
-        """True when the on-disk manifest has an unknown format version.
+        """True when the on-disk manifest is unreadable or of another version.
 
         A stale disk tier is suspended — reads miss and writes are skipped —
         until :meth:`gc` resets the directory and rewrites the manifest.
@@ -394,11 +391,11 @@ class ArtifactStore:
         if self._directory is None:
             return stats
         if self._disk_error is not None:
-            # Re-probe: the path may have become usable (or a racing
-            # migration finished) since __init__. Runs outside the instance
-            # lock (it may wait on the file lock when writing the manifest);
-            # the state fields it touches are simple assignments, and a
-            # racing get/put at worst misses or skips disk during the probe.
+            # Re-probe: the path may have become usable since __init__. Runs
+            # outside the instance lock (it may wait on the file lock when
+            # writing the manifest); the state fields it touches are simple
+            # assignments, and a racing get/put at worst misses or skips disk
+            # during the probe.
             self._disk_error = None
             self._init_directory()
             if self._disk_error is not None:
@@ -501,47 +498,8 @@ class ArtifactStore:
         except (OSError, ValueError, KeyError, TypeError):
             self._disk_stale = True
             return
-        if version == FORMAT_VERSION:
-            return
-        if version == FLAT_FORMAT_VERSION:
-            self._migrate_flat()
-            return
-        self._disk_stale = True
-
-    def _migrate_flat(self) -> None:
-        """Fold a flat version-1 directory into the sharded layout, in place.
-
-        Serialized on the global store lock; the version is re-checked under
-        the lock so only the race winner migrates. Contention degrades to
-        memory-only (``disk_error``) — :meth:`gc` re-probes once the other
-        process's migration has finished — and is never destructive.
-        """
-        if not self._acquire_write_lock():
-            self._disk_error = (
-                "flat-layout migration deferred: another process holds the "
-                "store lock"
-            )
-            return
-        try:
-            try:
-                manifest = json.loads(
-                    (self._directory / _MANIFEST_NAME).read_text(encoding="utf-8")
-                )
-                version = manifest["format_version"]
-            except (OSError, ValueError, KeyError, TypeError):
-                self._disk_stale = True
-                return
-            if version == FORMAT_VERSION:
-                return
-            if version != FLAT_FORMAT_VERSION:
-                self._disk_stale = True
-                return
-            self._tier.migrate_flat()
-            self._write_manifest()
-        except OSError as error:
-            self._disk_error = str(error)
-        finally:
-            self._release_write_lock()
+        if version != FORMAT_VERSION:
+            self._disk_stale = True
 
     def _write_manifest(self) -> None:
         payload = json.dumps(
@@ -554,8 +512,8 @@ class ArtifactStore:
             indent=2,
         )
         if not self._acquire_write_lock():
-            # The lock holder is writing the manifest or migrating; this
-            # rewrite is redundant — degrade by skipping it.
+            # The lock holder is writing the manifest or wiping a stale
+            # store; this rewrite is redundant — degrade by skipping it.
             return
         try:
             _atomic_write_bytes(

@@ -21,8 +21,7 @@ On-disk layout (under the store directory)::
 fingerprint (:func:`shard_of`), giving 256 buckets. Writers on different
 fingerprint prefixes touch different shards and therefore different locks
 and different logs — they never contend. A write is one payload file plus
-**one appended log record** (O(1)), where the flat layout rewrote shared
-manifest state under a single global lock.
+**one appended log record** (O(1)).
 
 Levels and compaction
 ---------------------
@@ -44,15 +43,6 @@ per-artifact-kind TTLs, both enforced at compaction time. When the budget is
 exceeded, victims are chosen globally across shards in *priority* order —
 bulky cold kinds (projections, null-count stacks) age out before hot small
 ones (count vectors, profiles) — and oldest-first within a kind.
-
-Migration
----------
-A directory written by the flat layout (format version 1: one global
-``manifest.json`` plus ``data/<fp>/<kind>-<digest>.{npz,json}`` entry pairs)
-is detected on open and migrated in place under the store's global lock:
-each valid sidecar becomes one log record in its fingerprint's shard and the
-payload file is moved, so existing stores keep every artifact with no
-recomputation.
 """
 
 from __future__ import annotations
@@ -126,12 +116,9 @@ LSM_LOG_RECORDS = obs_metrics.gauge(
     "Uncompacted L0 log records across shards (last occupancy scan).",
 )
 
-#: Store layout version; version-1 (flat) directories are migrated on open,
-#: anything else suspends the disk tier until :meth:`gc` compacts it.
+#: Store layout version; a directory of any other version suspends the disk
+#: tier until :meth:`ArtifactStore.gc` resets it.
 FORMAT_VERSION = 2
-
-#: The flat layout this tier knows how to migrate from.
-FLAT_FORMAT_VERSION = 1
 
 #: Number of shard buckets (two hex characters of the fingerprint).
 NUM_SHARDS = 256
@@ -142,7 +129,8 @@ LEVEL_LOG = "L0"
 LEVEL_BASE = "L1"
 
 _SHARDS_DIR = "shards"
-_FLAT_DATA_DIR = "data"
+#: The version-1 layout's payload tree, removed by :meth:`LSMDiskTier.wipe`.
+_LEGACY_DATA_DIR = "data"
 _LOG_NAME = "manifest.log"
 _BASE_NAME = "manifest.base.json"
 _SHARD_LOCK_NAME = ".shard.lock"
@@ -760,8 +748,8 @@ class LSMDiskTier:
         )
 
     def wipe(self, stats: GCStats) -> None:
-        """Remove every shard (and legacy flat data) — the stale-manifest reset."""
-        for root_name in (_SHARDS_DIR, _FLAT_DATA_DIR):
+        """Remove every shard and any legacy ``data/`` tree (the stale reset)."""
+        for root_name in (_SHARDS_DIR, _LEGACY_DATA_DIR):
             root = self._directory / root_name
             if not root.is_dir():
                 continue
@@ -781,85 +769,6 @@ class LSMDiskTier:
                 pass
         with self._lock:
             self._states.clear()
-
-    # ------------------------------------------------------------ migration
-    def migrate_flat(self) -> int:
-        """Fold a flat (format-1) layout into the sharded one, in place.
-
-        Every valid v1 entry — parseable sidecar, present payload — becomes a
-        log record in its fingerprint's shard, its payload moved (not
-        copied). Invalid leftovers are deleted with the old ``data/`` tree.
-        Returns the number of migrated entries. The caller holds the store's
-        global lock and rewrites the top-level manifest afterwards.
-        """
-        data_root = self._directory / _FLAT_DATA_DIR
-        if not data_root.is_dir():
-            return 0
-        migrated = 0
-        for sidecar in sorted(data_root.glob("*/*.json")):
-            record = self._read_flat_sidecar(sidecar)
-            if record is None:
-                continue
-            payload = sidecar.with_suffix(".npz")
-            kind = str(record["kind"])
-            fingerprint = str(record["fingerprint"])
-            params = record.get("params", {})
-            digest = _flat_digest(sidecar.stem, kind)
-            shard = shard_of(fingerprint)
-            relative = f"{fingerprint}/{kind}-{digest}.npz"
-            target = self.shard_dir(shard) / relative
-            target.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                size = payload.stat().st_size
-                os.replace(payload, target)
-            except OSError:
-                continue
-            self._append_record(
-                shard,
-                {
-                    "format_version": FORMAT_VERSION,
-                    "op": "put",
-                    "kind": kind,
-                    "fingerprint": fingerprint,
-                    "digest": digest,
-                    "params": jsonify_params(params),
-                    "meta": dict(record.get("meta", {})),
-                    "dataset": record.get("dataset"),
-                    "checksum": str(record.get("checksum", "")),
-                    "payload": relative,
-                    "payload_bytes": int(size),
-                    "created": float(record.get("created", time.time())),
-                },
-            )
-            migrated += 1
-        # The remaining files (invalid sidecars, orphaned payloads, temp
-        # junk) would have been reaped by the old gc; drop the whole tree.
-        for path in sorted(data_root.glob("**/*"), reverse=True):
-            try:
-                path.rmdir() if path.is_dir() else path.unlink()
-            except OSError:
-                pass
-        try:
-            data_root.rmdir()
-        except OSError:
-            pass
-        return migrated
-
-    @staticmethod
-    def _read_flat_sidecar(path: Path) -> Optional[Dict[str, Any]]:
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(record, dict):
-            return None
-        if record.get("format_version") != FLAT_FORMAT_VERSION:
-            return None
-        if not all(key in record for key in ("kind", "fingerprint", "checksum")):
-            return None
-        if not path.with_suffix(".npz").is_file():
-            return None
-        return record
 
     # ------------------------------------------------------------- internal
     def _signature(self, shard: str) -> Tuple:
@@ -964,12 +873,6 @@ class LSMDiskTier:
         if reason:
             stats.details.append(f"{reason}: {path.name}")
         return True
-
-
-def _flat_digest(stem: str, kind: str) -> str:
-    """Recover the params digest from a flat entry's ``<kind>-<digest>`` stem."""
-    prefix = f"{kind}-"
-    return stem[len(prefix):] if stem.startswith(prefix) else stem
 
 
 def jsonify_params(params: Mapping[str, Any]) -> Dict[str, Any]:

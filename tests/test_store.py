@@ -162,10 +162,18 @@ class TestFailurePaths:
         reopened = ArtifactStore(store.directory)
         assert reopened.get("count", "f" * 64, {"algorithm": "exact"}) is None
 
-    def test_version_mismatched_manifest_suspends_disk(self, store):
+    @pytest.mark.parametrize("version", [999, 1])
+    def test_version_mismatched_manifest_suspends_disk(self, store, version):
+        # Version 1 (the flat layout) is stale like any other version: its
+        # data/ tree is reset by gc, not migrated.
         _put_dummy(store)
+        legacy = store.directory / "data" / ("f" * 64)
+        legacy.mkdir(parents=True)
+        (legacy / "count-x.npz").write_bytes(b"legacy payload")
         manifest = store.directory / "manifest.json"
-        manifest.write_text(json.dumps({"format_version": 999}), encoding="utf-8")
+        manifest.write_text(
+            json.dumps({"format_version": version}), encoding="utf-8"
+        )
         stale = ArtifactStore(store.directory)
         assert stale.disk_stale
         assert stale.get("count", "f" * 64, {"algorithm": "exact"}) is None
@@ -174,6 +182,7 @@ class TestFailurePaths:
         # re-enables persistence.
         stats = stale.gc()
         assert stats.removed_files > 0
+        assert not (store.directory / "data").exists()
         assert not stale.disk_stale
         _put_dummy(stale)
         assert ArtifactStore(store.directory).get(

@@ -1,15 +1,13 @@
 """Tests for the log-structured disk tier (:mod:`repro.store.lsm`).
 
-Covers what the flat-layout tests cannot: shard routing, flat-v1 migration,
-crash-safety of compaction (via ``store.manifest_append`` chaos faults in a
-child process), many-process writes on distinct shards, the eviction
-policy, occupancy reporting, and the new hyperwedge/predict warm starts.
+Covers what the flat-layout tests cannot: shard routing, crash-safety of
+compaction (via ``store.manifest_append`` chaos faults in a child process),
+many-process writes on distinct shards, the eviction policy, occupancy
+reporting, and the new hyperwedge/predict warm starts.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 import os
 import subprocess
@@ -30,8 +28,7 @@ from repro.generators import (
 from repro.store import ArtifactStore, EvictionPolicy, shard_of
 from repro.store import codecs
 from repro.store.faults import ENV_FAULTS, encode_env
-from repro.store.fingerprint import params_digest
-from repro.store.lsm import FLAT_FORMAT_VERSION, LEVEL_BASE, LEVEL_LOG
+from repro.store.lsm import LEVEL_BASE, LEVEL_LOG
 from repro.store.serve import EngineServer
 
 FP_A = "a" * 64  # shard "aa"
@@ -46,12 +43,6 @@ def _subprocess_env(**faults) -> dict:
     if faults:
         env[ENV_FAULTS] = encode_env(faults)
     return env
-
-
-def _npz_bytes(arrays) -> bytes:
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **dict(arrays))
-    return buffer.getvalue()
 
 
 class TestSharding:
@@ -85,103 +76,6 @@ class TestSharding:
         (entry,) = fresh.entries()
         assert entry.level == LEVEL_BASE
         assert not (tmp_path / "store" / "shards" / "aa" / "manifest.log").exists()
-
-
-class TestFlatMigration:
-    """A store written by the flat version-1 layout is migrated on open."""
-
-    def _write_flat_entry(
-        self, directory, kind, fingerprint, params, arrays, dataset=None
-    ):
-        data = _npz_bytes(arrays)
-        digest = params_digest(params)
-        bucket = directory / "data" / fingerprint
-        bucket.mkdir(parents=True, exist_ok=True)
-        (bucket / f"{kind}-{digest}.npz").write_bytes(data)
-        record = {
-            "format_version": FLAT_FORMAT_VERSION,
-            "kind": kind,
-            "fingerprint": fingerprint,
-            "params": params,
-            "meta": {"source": "flat"},
-            "dataset": dataset,
-            "checksum": hashlib.sha256(data).hexdigest(),
-            "payload": f"{kind}-{digest}.npz",
-            "created": 1700000000.0,
-        }
-        (bucket / f"{kind}-{digest}.json").write_text(
-            json.dumps(record, indent=2) + "\n", encoding="utf-8"
-        )
-
-    def _write_flat_store(self, directory) -> dict:
-        directory.mkdir(parents=True)
-        (directory / "manifest.json").write_text(
-            json.dumps({"format_version": 1, "store": "repro.store"}) + "\n",
-            encoding="utf-8",
-        )
-        entries = {
-            ("count", FP_A): {"values": np.arange(8.0)},
-            ("projection", FP_A): {"weights": np.ones((3, 3))},
-            ("count", FP_B): {"values": np.full(8, 2.0)},
-        }
-        for (kind, fingerprint), arrays in entries.items():
-            self._write_flat_entry(
-                directory, kind, fingerprint, {"p": 1}, arrays, dataset="flat-ds"
-            )
-        return entries
-
-    def test_round_trip_preserves_every_artifact(self, tmp_path):
-        directory = tmp_path / "store"
-        expected = self._write_flat_store(directory)
-        store = ArtifactStore(directory)
-        assert store.persistent and not store.disk_stale
-        # The old tree is gone, the manifest is current, shards exist.
-        assert not (directory / "data").exists()
-        manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
-        assert (directory / "shards" / "aa").is_dir()
-        for (kind, fingerprint), arrays in expected.items():
-            hit = store.get(kind, fingerprint, {"p": 1})
-            assert hit is not None, f"{kind}/{fingerprint[:4]} lost in migration"
-            loaded, meta, tier = hit
-            assert tier == "disk"
-            assert meta == {"source": "flat"}
-            for name, array in arrays.items():
-                assert np.array_equal(loaded[name], array)
-        entries = store.entries()
-        assert len(entries) == len(expected)
-        assert {entry.created for entry in entries} == {1700000000.0}
-        assert {entry.dataset for entry in entries} == {"flat-ds"}
-
-    def test_migrated_store_compacts_cleanly(self, tmp_path):
-        directory = tmp_path / "store"
-        expected = self._write_flat_store(directory)
-        stats = ArtifactStore(directory).gc()
-        assert stats.kept_entries == len(expected)
-        assert stats.removed_entries == 0 and stats.removed_files == 0
-
-    def test_flat_junk_is_dropped_not_migrated(self, tmp_path):
-        directory = tmp_path / "store"
-        self._write_flat_store(directory)
-        bucket = directory / "data" / FP_A
-        # A sidecar without its payload, and a payload without a sidecar.
-        (bucket / "count-dangling.json").write_text(
-            json.dumps(
-                {
-                    "format_version": 1,
-                    "kind": "count",
-                    "fingerprint": FP_A,
-                    "checksum": "0" * 64,
-                }
-            ),
-            encoding="utf-8",
-        )
-        (bucket / "profile-orphan.npz").write_bytes(b"orphan")
-        store = ArtifactStore(directory)
-        assert not (directory / "data").exists()
-        kinds = {entry.kind for entry in store.entries()}
-        assert kinds == {"count", "projection"}
-        assert len(store.entries()) == 3
 
 
 #: Child snippets for the crash tests (run via ``python -c``). The armed
