@@ -2,7 +2,7 @@
 
 Sweeps the sampling ratio of both approximate counters on one synthetic
 dataset, reports the speed/accuracy trade-off, and demonstrates the lazy
-(memory-budgeted) projection and the parallel drivers — all through
+(memory-budgeted) projection and the worker fan-out — all through
 :class:`repro.MotifEngine` spec options. The engine builds the projection
 once; every run in the sweep reuses it.
 

@@ -65,7 +65,8 @@ class CountSpec:
         ``r = ratio · |∧|`` for MoCHy-A+). At most one may be given; the
         engine falls back to a ratio of 0.1 when neither is.
     num_workers:
-        Use the parallel drivers when greater than one.
+        Worker processes the counter splits its anchors (or its drawn
+        sample) over; results are bit-identical for every value.
     seed:
         Randomness for the sampling algorithms (and the lazy projection's
         ``"random"`` retention policy).
@@ -134,12 +135,12 @@ class CountSpec:
                 )
             object.__setattr__(self, "budget", int(self.budget))
         if self.projection == PROJECTION_LAZY and self.num_workers > 1:
-            # The parallel drivers ship full-projection arrays to workers,
-            # which would silently defeat the memory budget lazy was chosen
-            # for; make the conflict explicit instead.
+            # Worker processes receive the full projection's CSR arrays; a
+            # budgeted lazy projection has none to ship, so the counters
+            # reject the pair. Reject it here, before any work is done.
             raise CountSpecError(
-                "projection='lazy' is serial (the parallel drivers materialize "
-                "a full projection); use num_workers=1 with a lazy projection"
+                "projection='lazy' is serial (worker processes need a full "
+                "projection's arrays); use num_workers=1 with a lazy projection"
             )
         if not isinstance(self.include_instances, bool):
             raise CountSpecError(

@@ -11,9 +11,10 @@ runs) are additionally memoized per spec, so a profile reuses the counts of a
 previous ``count()`` with the same configuration.
 
 The engine is the single place where a run's strategy is chosen: a
-:class:`~repro.api.CountSpec` chooses the algorithm, serial or parallel
-drivers, and a ``"full"`` (materialized, cached) or ``"lazy"``
-(memory-budgeted, Section 3.4) projection. The legacy entrypoints
+:class:`~repro.api.CountSpec` chooses the algorithm, the number of worker
+processes the counter splits its anchors over, and a ``"full"``
+(materialized, cached) or ``"lazy"`` (memory-budgeted, Section 3.4)
+projection. The legacy entrypoints
 (:func:`repro.counting.count_motifs`, :func:`repro.profile.characteristic_profile`,
 :func:`repro.analysis.real_vs_random`,
 :func:`repro.prediction.run_prediction_experiment`) are thin shims over an
@@ -79,11 +80,6 @@ from repro.api.results import (
 from repro.analysis.real_vs_random import compare_counts
 from repro.counting.edge_sampling import count_approx_edge_sampling
 from repro.counting.exact import count_exact, enumerate_instances
-from repro.counting.parallel import (
-    count_approx_edge_sampling_parallel,
-    count_approx_wedge_sampling_parallel,
-    count_exact_parallel,
-)
 from repro.counting.runner import ALGORITHM_EDGE_SAMPLING
 from repro.counting.variance import compute_overlap_statistics, variance_comparison
 from repro.counting.wedge_sampling import count_approx_wedge_sampling
@@ -1063,31 +1059,21 @@ class MotifEngine:
         resolved_samples: Optional[int],
     ) -> MotifCounts:
         if spec.is_exact:
-            if spec.num_workers > 1:
-                return count_exact_parallel(hypergraph, spec.num_workers, provider)
-            return count_exact(hypergraph, provider)
+            return count_exact(hypergraph, provider, num_workers=spec.num_workers)
         if spec.algorithm == ALGORITHM_EDGE_SAMPLING:
-            if spec.num_workers > 1:
-                return count_approx_edge_sampling_parallel(
-                    hypergraph,
-                    resolved_samples,
-                    spec.num_workers,
-                    seed=spec.seed,
-                    projection=provider,
-                )
             return count_approx_edge_sampling(
-                hypergraph, resolved_samples, provider, seed=spec.seed
-            )
-        if spec.num_workers > 1:
-            return count_approx_wedge_sampling_parallel(
                 hypergraph,
                 resolved_samples,
-                spec.num_workers,
+                provider,
                 seed=spec.seed,
-                projection=provider,
+                num_workers=spec.num_workers,
             )
         return count_approx_wedge_sampling(
-            hypergraph, resolved_samples, provider, seed=spec.seed
+            hypergraph,
+            resolved_samples,
+            provider,
+            seed=spec.seed,
+            num_workers=spec.num_workers,
         )
 
     def __repr__(self) -> str:

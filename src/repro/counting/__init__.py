@@ -16,13 +16,6 @@ from repro.counting.wedge_sampling import (
     count_approx_wedge_sampling,
     run_wedge_sampling,
 )
-from repro.counting.parallel import (
-    BACKEND_PROCESS,
-    BACKEND_THREAD,
-    count_approx_edge_sampling_parallel,
-    count_approx_wedge_sampling_parallel,
-    count_exact_parallel,
-)
 from repro.counting.variance import (
     OverlapStatistics,
     compute_overlap_statistics,
@@ -52,11 +45,6 @@ __all__ = [
     "WedgeSamplingResult",
     "count_approx_wedge_sampling",
     "run_wedge_sampling",
-    "BACKEND_PROCESS",
-    "BACKEND_THREAD",
-    "count_exact_parallel",
-    "count_approx_edge_sampling_parallel",
-    "count_approx_wedge_sampling_parallel",
     "OverlapStatistics",
     "compute_overlap_statistics",
     "edge_sampling_variance",

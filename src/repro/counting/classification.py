@@ -42,7 +42,7 @@ def fast_adjacency(projection: NeighborhoodProvider):
     Any provider exposing ``adjacency_arrays()`` (today
     :class:`repro.projection.ProjectedGraph`) yields a fully materialized
     :class:`~repro.fastcore.projection.AdjacencyArrays` — the picklable form
-    the parallel drivers ship to workers.
+    the counters' fan-out ships to worker processes.
     """
     getter = getattr(projection, "adjacency_arrays", None)
     return getter() if getter is not None else None

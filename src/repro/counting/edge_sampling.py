@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.counting.classification import NeighborhoodProvider, kernel_source
+from repro.counting.classification import NeighborhoodProvider
+from repro.counting.parallel import fan_out
 from repro.exceptions import SamplingError
 from repro.fastcore.kernels import count_containing_batched
 from repro.hypergraph.hypergraph import Hypergraph
@@ -44,6 +45,7 @@ def count_approx_edge_sampling(
     projection: Optional[NeighborhoodProvider] = None,
     seed: SeedLike = None,
     sampled_indices: Optional[Sequence[int]] = None,
+    num_workers: int = 1,
 ) -> MotifCounts:
     """Unbiased estimates of h-motif counts via hyperedge sampling (MoCHy-A).
 
@@ -58,11 +60,15 @@ def count_approx_edge_sampling(
     seed:
         Randomness for sampling.
     sampled_indices:
-        Explicit sample of hyperedge indices. Intended for tests and for the
-        parallel driver; when provided, ``num_samples`` must equal its length.
+        Explicit sample of hyperedge indices, intended for tests; when
+        provided, ``num_samples`` must equal its length.
+    num_workers:
+        Split the drawn sample over this many worker processes
+        (:func:`repro.counting.parallel.fan_out`); the estimates are
+        bit-identical to one worker.
     """
     return run_edge_sampling(
-        hypergraph, num_samples, projection, seed, sampled_indices
+        hypergraph, num_samples, projection, seed, sampled_indices, num_workers
     ).estimates
 
 
@@ -72,9 +78,11 @@ def run_edge_sampling(
     projection: Optional[NeighborhoodProvider] = None,
     seed: SeedLike = None,
     sampled_indices: Optional[Sequence[int]] = None,
+    num_workers: int = 1,
 ) -> EdgeSamplingResult:
     """As :func:`count_approx_edge_sampling` but returning sampling metadata."""
     require_positive_int(num_samples, "num_samples")
+    require_positive_int(num_workers, "num_workers")
     num_hyperedges = hypergraph.num_hyperedges
     if num_hyperedges == 0:
         raise SamplingError("cannot sample hyperedges from an empty hypergraph")
@@ -88,7 +96,7 @@ def run_edge_sampling(
             f"sampled_indices has length {len(sampled_indices)} but num_samples is {num_samples}"
         )
 
-    raw = accumulate_containing(hypergraph, projection, sampled_indices)
+    raw = accumulate_containing(hypergraph, projection, sampled_indices, num_workers)
     raw_total = raw.total()
     # Rescale: each instance is counted 3s/|E| times in expectation.
     estimates = raw.scaled(num_hyperedges / (3.0 * num_samples))
@@ -101,6 +109,7 @@ def accumulate_containing(
     hypergraph: Hypergraph,
     projection: NeighborhoodProvider,
     anchors: Sequence[int],
+    num_workers: int = 1,
 ) -> MotifCounts:
     """Raw counts over all instances containing each anchor hyperedge.
 
@@ -108,10 +117,10 @@ def accumulate_containing(
     of that anchor in *anchors* (duplicates are intentional: sampling is with
     replacement).
     """
-    return MotifCounts(
-        count_containing_batched(
-            hypergraph.csr(),
-            kernel_source(projection),
-            [int(anchor) for anchor in anchors],
-        )
+    return fan_out(
+        count_containing_batched,
+        hypergraph,
+        projection,
+        [int(anchor) for anchor in anchors],
+        num_workers,
     )

@@ -24,15 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
-from repro.counting.classification import (
-    NeighborhoodProvider,
-    classify_triple,
-    kernel_source,
-)
+import numpy as np
+
+from repro.counting.classification import NeighborhoodProvider, classify_triple
+from repro.counting.parallel import fan_out
 from repro.fastcore.kernels import count_exact_batched
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.motifs.counts import MotifCounts
 from repro.projection.builder import project
+from repro.utils.validation import require_positive_int
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ def count_exact(
     hypergraph: Hypergraph,
     projection: Optional[NeighborhoodProvider] = None,
     hyperedge_indices: Optional[Iterable[int]] = None,
+    num_workers: int = 1,
 ) -> MotifCounts:
     """Exact counts of every h-motif's instances (MoCHy-E).
 
@@ -57,18 +58,23 @@ def count_exact(
     projection:
         Pre-built projected graph; built with Algorithm 1 when omitted.
     hyperedge_indices:
-        Restrict the outer loop to these hyperedge indices. Used by the
-        parallel driver to split work. Returns the sum of their *shares*
-        (see :func:`repro.fastcore.count_exact_batched`), not the instances
-        attributed to them: a share can hold negative entries, but shares
-        over any partition of the hyperedges sum to the full count.
+        Restrict the outer loop to these hyperedge indices. Returns the sum
+        of their *shares* (see :func:`repro.fastcore.count_exact_batched`),
+        not the instances attributed to them: a share can hold negative
+        entries, but shares over any partition of the hyperedges sum to the
+        full count.
+    num_workers:
+        Split the hyperedges over this many worker processes
+        (:func:`repro.counting.parallel.fan_out`); the counts are
+        bit-identical to one worker.
     """
+    require_positive_int(num_workers, "num_workers")
     if projection is None:
         projection = project(hypergraph)
-    return MotifCounts(
-        count_exact_batched(
-            hypergraph.csr(), kernel_source(projection), hyperedge_indices
-        )
+    if hyperedge_indices is None:
+        hyperedge_indices = np.arange(hypergraph.num_hyperedges)
+    return fan_out(
+        count_exact_batched, hypergraph, projection, hyperedge_indices, num_workers
     )
 
 

@@ -93,7 +93,8 @@ def count_motifs(
         ``r = ratio · |∧|`` for MoCHy-A+). Exactly one may be given; the
         default ratio is 0.1.
     num_workers:
-        Use the parallel drivers when greater than one.
+        Worker processes the counter splits its work over; results are
+        bit-identical for every value.
     """
     return run_counting(
         hypergraph,

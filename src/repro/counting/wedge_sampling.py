@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.counting.classification import NeighborhoodProvider, kernel_source
+from repro.counting.classification import NeighborhoodProvider
+from repro.counting.parallel import fan_out
 from repro.exceptions import SamplingError
 from repro.fastcore.kernels import count_wedges_batched
 from repro.hypergraph.hypergraph import Hypergraph
@@ -56,10 +57,20 @@ def count_approx_wedge_sampling(
     seed: SeedLike = None,
     hyperwedges: Optional[Sequence[Tuple[int, int]]] = None,
     sampled_wedges: Optional[Sequence[Tuple[int, int]]] = None,
+    num_workers: int = 1,
 ) -> MotifCounts:
-    """Unbiased estimates of h-motif counts via hyperwedge sampling (MoCHy-A+)."""
+    """Unbiased estimates of h-motif counts via hyperwedge sampling (MoCHy-A+).
+
+    Parameters are those of :func:`run_wedge_sampling`.
+    """
     return run_wedge_sampling(
-        hypergraph, num_samples, projection, seed, hyperwedges, sampled_wedges
+        hypergraph,
+        num_samples,
+        projection,
+        seed,
+        hyperwedges,
+        sampled_wedges,
+        num_workers,
     ).estimates
 
 
@@ -70,6 +81,7 @@ def run_wedge_sampling(
     seed: SeedLike = None,
     hyperwedges: Optional[Sequence[Tuple[int, int]]] = None,
     sampled_wedges: Optional[Sequence[Tuple[int, int]]] = None,
+    num_workers: int = 1,
 ) -> WedgeSamplingResult:
     """As :func:`count_approx_wedge_sampling` but returning sampling metadata.
 
@@ -93,10 +105,15 @@ def run_wedge_sampling(
         ``hyperwedges_at``, which yields the same wedges as indexing its
         ``hyperwedge_list()`` without building it.
     sampled_wedges:
-        Explicit sample of hyperwedges (for tests / parallel driver); when
-        provided, ``num_samples`` must equal its length.
+        Explicit sample of hyperwedges, intended for tests; when provided,
+        ``num_samples`` must equal its length.
+    num_workers:
+        Split the drawn sample over this many worker processes
+        (:func:`repro.counting.parallel.fan_out`); the estimates are
+        bit-identical to one worker.
     """
     require_positive_int(num_samples, "num_samples")
+    require_positive_int(num_workers, "num_workers")
     if projection is None:
         projection = project(hypergraph)
     num_hyperwedges = (
@@ -119,7 +136,9 @@ def run_wedge_sampling(
             f"sampled_wedges has length {len(sampled_wedges)} but num_samples is {num_samples}"
         )
 
-    raw = accumulate_containing_wedges(hypergraph, projection, sampled_wedges)
+    raw = accumulate_containing_wedges(
+        hypergraph, projection, sampled_wedges, num_workers
+    )
     raw_total = raw.total()
     estimates = _rescale(raw, num_hyperwedges, num_samples)
     return WedgeSamplingResult(
@@ -143,14 +162,13 @@ def accumulate_containing_wedges(
     hypergraph: Hypergraph,
     projection: NeighborhoodProvider,
     wedges: Sequence[Tuple[int, int]],
+    num_workers: int = 1,
 ) -> MotifCounts:
     """Raw counts over all instances containing each sampled hyperwedge.
 
     *wedges* is a sequence of ``(i, j)`` pairs or an ``(n, 2)`` array.
     """
-    return MotifCounts(
-        count_wedges_batched(hypergraph.csr(), kernel_source(projection), wedges)
-    )
+    return fan_out(count_wedges_batched, hypergraph, projection, wedges, num_workers)
 
 
 def _rescale(raw: MotifCounts, num_hyperwedges: int, num_samples: int) -> MotifCounts:

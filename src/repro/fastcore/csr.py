@@ -15,8 +15,9 @@ two int32 CSR structures over *dense* integer ids:
 Dense node ids are assigned by the owning ``Hypergraph`` (position in its
 deterministic node ordering), so the CSR view and the frozenset view always
 agree on which node is which. The structure is immutable, built once and
-cached on the hypergraph, and picklable (plain arrays), which lets parallel
-drivers ship it to worker processes without serializing frozenset graphs.
+cached on the hypergraph, and picklable (plain arrays), which lets the
+counters' fan-out ship it to worker processes without serializing frozenset
+graphs.
 """
 
 from __future__ import annotations

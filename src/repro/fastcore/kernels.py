@@ -75,7 +75,7 @@ from repro.motifs.classify import (
 from repro.motifs.patterns import NUM_MOTIFS
 
 # Upper-triangle index pairs per neighborhood size, shared across anchors
-# (and across the parallel drivers' threads — hence the lock below).
+# (and across the serving executors' threads — hence the lock below).
 _TRIU_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 _TRIU_CACHE_LOCK = threading.Lock()
 

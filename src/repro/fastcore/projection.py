@@ -20,8 +20,8 @@ membership row contains both ``i`` and ``j``. The builder therefore
 Total work is ``O(P log P)`` for ``P = Σ_v C(|E_v|, 2) = Σ_{∧ij} |e_i ∩ e_j|``
 — the same pair stream Algorithm 1 scans, minus the per-pair Python dict
 machinery. ``aggregate_cooccurrence``/``merge_partial_pairs`` are exposed
-separately so the parallel driver can aggregate per-worker partial pair
-streams with the same array merge instead of dict unions.
+separately so the delta engine (:mod:`repro.fastcore.delta`) can merge
+partial pair streams with the same array merge instead of dict unions.
 
 :class:`AdjacencyArrays` is the minimal picklable view of the result that the
 batched counting kernels (and worker processes) consume.
@@ -343,12 +343,13 @@ def aggregate_pair_keys(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def merge_partial_pairs(
     partials: Tuple[Tuple[np.ndarray, np.ndarray], ...],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge per-worker ``(keys, counts)`` partials, summing shared keys.
+    """Merge partial ``(keys, counts)`` aggregates, summing shared keys.
 
-    This is the CSR partial-merge used by ``project_parallel``: partial
-    aggregates from different node ranges may contain the same hyperedge pair
-    (the pair's weight is a sum over *nodes*), so counts for equal keys are
-    added with one sort + ``reduceat`` instead of a Python dict union.
+    This is the CSR partial-merge of :func:`aggregate_cooccurrence`'s slabs
+    and of :mod:`repro.fastcore.delta`: partial aggregates from different
+    node ranges may contain the same hyperedge pair (the pair's weight is a
+    sum over *nodes*), so counts for equal keys are added with one sort +
+    ``reduceat`` instead of a Python dict union.
     """
     keys = np.concatenate([part[0] for part in partials])
     counts = np.concatenate([part[1] for part in partials])

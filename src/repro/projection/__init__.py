@@ -1,7 +1,7 @@
 """Hypergraph projection: the projected graph, its builders and lazy variants."""
 
 from repro.projection.projected_graph import ProjectedGraph
-from repro.projection.builder import neighborhood_of, project, project_parallel
+from repro.projection.builder import neighborhood_of, project
 from repro.projection.lazy import (
     LazyProjection,
     POLICY_DEGREE,
@@ -12,7 +12,6 @@ from repro.projection.lazy import (
 __all__ = [
     "ProjectedGraph",
     "project",
-    "project_parallel",
     "neighborhood_of",
     "LazyProjection",
     "POLICY_DEGREE",

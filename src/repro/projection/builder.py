@@ -7,33 +7,15 @@ its overlap weight ``ω(∧_ij)``. The pair stream is aggregated with NumPy
 sorts instead of a tuple-keyed Python dict (see
 :mod:`repro.fastcore.projection`); complexity stays
 ``O(Σ_{∧_ij ∈ ∧} |e_i ∩ e_j|)`` pairs (Lemma 1), now at array speed.
-
-``project_parallel`` splits the *node* rows across processes; per-worker
-partial aggregates are combined with the CSR partial-merge
-(:func:`repro.fastcore.projection.merge_partial_pairs`) — a sort +
-``reduceat`` that sums weights for pairs produced in several node ranges —
-reproducing the parallelization discussion in Section 3.4 (Figure 10)
-without dict-union costs. Workers receive plain membership arrays, never a
-pickled frozenset graph.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Tuple
+from typing import Dict
 
-import numpy as np
-
-from repro.fastcore.projection import (
-    aggregate_cooccurrence,
-    build_projection_arrays,
-    merge_partial_pairs,
-    neighborhood_counts,
-    pairs_to_symmetric_csr,
-)
+from repro.fastcore.projection import build_projection_arrays, neighborhood_counts
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.projection.projected_graph import ProjectedGraph
-from repro.utils.validation import require_positive_int
 
 
 def project(hypergraph: Hypergraph) -> ProjectedGraph:
@@ -43,58 +25,6 @@ def project(hypergraph: Hypergraph) -> ProjectedGraph:
         csr.node_ptr, csr.node_edges, csr.num_edges
     )
     return ProjectedGraph.from_csr(csr.num_edges, ptr, idx, weight)
-
-
-def project_parallel(hypergraph: Hypergraph, num_workers: int = 2) -> ProjectedGraph:
-    """Build the projected graph using *num_workers* processes.
-
-    Each worker aggregates the co-occurrence pairs of a contiguous slice of
-    *node* membership rows. A hyperedge pair may surface in several slices
-    (its weight is a sum over shared nodes), so the partial ``(key, count)``
-    arrays are combined with one sorted merge that sums counts per key.
-    """
-    require_positive_int(num_workers, "num_workers")
-    csr = hypergraph.csr()
-    total_nodes = csr.num_nodes
-    if num_workers == 1 or total_nodes < 2 * num_workers:
-        return project(hypergraph)
-    boundaries = _split_range(total_nodes, num_workers)
-    partials: List[Tuple[np.ndarray, np.ndarray]] = []
-    with ProcessPoolExecutor(max_workers=num_workers) as executor:
-        futures = [
-            executor.submit(
-                _project_node_range_worker,
-                csr.node_ptr[start : end + 1] - csr.node_ptr[start],
-                csr.node_edges[csr.node_ptr[start] : csr.node_ptr[end]],
-                csr.num_edges,
-            )
-            for start, end in boundaries
-        ]
-        for future in futures:
-            partials.append(future.result())
-    keys, counts = merge_partial_pairs(tuple(partials))
-    ptr, idx, weight = pairs_to_symmetric_csr(keys, counts, csr.num_edges)
-    return ProjectedGraph.from_csr(csr.num_edges, ptr, idx, weight)
-
-
-def _split_range(total: int, parts: int) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into at most *parts* contiguous non-empty slices."""
-    parts = min(parts, total) if total > 0 else 1
-    base, remainder = divmod(total, parts)
-    boundaries: List[Tuple[int, int]] = []
-    start = 0
-    for index in range(parts):
-        length = base + (1 if index < remainder else 0)
-        boundaries.append((start, start + length))
-        start += length
-    return boundaries
-
-
-def _project_node_range_worker(
-    node_ptr: np.ndarray, node_edges: np.ndarray, num_edges: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Aggregated ``(pair keys, multiplicities)`` for one slice of node rows."""
-    return aggregate_cooccurrence(node_ptr, node_edges, num_edges)
 
 
 def neighborhood_of(hypergraph: Hypergraph, i: int) -> Dict[int, int]:

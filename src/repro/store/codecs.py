@@ -63,12 +63,16 @@ def predict_params(spec, context_window, test_window) -> Dict[str, Any]:
 
 
 def count_params(spec) -> Dict[str, Any]:
-    """Canonical parameter mapping of a :class:`~repro.api.CountSpec`."""
+    """Canonical parameter mapping of a :class:`~repro.api.CountSpec`.
+
+    ``num_workers`` is left out: the counters return bit-identical results
+    for every worker count, so a serial request finds a count computed with
+    workers and vice versa.
+    """
     return {
         "algorithm": spec.algorithm,
         "num_samples": spec.num_samples,
         "sampling_ratio": spec.sampling_ratio,
-        "num_workers": spec.num_workers,
         "seed": _canonical_seed(spec.seed),
         "projection": spec.projection,
         "budget": spec.budget,

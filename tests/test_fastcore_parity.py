@@ -27,7 +27,7 @@ from repro.fastcore.reference import (
     project_reference,
 )
 from repro.hypergraph import Hypergraph
-from repro.projection import LazyProjection, project, project_parallel
+from repro.projection import LazyProjection, project
 
 #: Seeds for the random parity corpus (≥ 20 hypergraphs).
 PARITY_SEEDS = tuple(range(24))
@@ -63,10 +63,6 @@ class TestProjectionParity:
     def test_array_projection_matches_dict_projection(self, parity_case):
         _, fast, reference = parity_case
         assert fast == reference
-
-    def test_parallel_projection_matches(self, parity_case):
-        hypergraph, fast, _ = parity_case
-        assert project_parallel(hypergraph, num_workers=2) == fast
 
 
 class TestExactParity:

@@ -6,12 +6,7 @@ import pytest
 
 from repro.exceptions import ProjectionError
 from repro.hypergraph import Hypergraph
-from repro.projection import (
-    ProjectedGraph,
-    neighborhood_of,
-    project,
-    project_parallel,
-)
+from repro.projection import ProjectedGraph, neighborhood_of, project
 
 
 class TestProjectedGraphContainer:
@@ -86,19 +81,3 @@ class TestProjection:
         projection = project(hypergraph)
         assert projection.num_hyperwedges == 0
 
-
-class TestParallelProjection:
-    def test_matches_serial(self, small_random_hypergraph):
-        serial = project(small_random_hypergraph)
-        parallel = project_parallel(small_random_hypergraph, num_workers=2)
-        assert parallel == serial
-
-    def test_single_worker_falls_back(self, paper_hypergraph):
-        assert project_parallel(paper_hypergraph, num_workers=1) == project(paper_hypergraph)
-
-    def test_more_workers_than_edges(self, paper_hypergraph):
-        assert project_parallel(paper_hypergraph, num_workers=16) == project(paper_hypergraph)
-
-    def test_rejects_non_positive_workers(self, paper_hypergraph):
-        with pytest.raises(ValueError):
-            project_parallel(paper_hypergraph, num_workers=0)

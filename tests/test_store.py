@@ -316,6 +316,17 @@ class TestEngineIntegration:
         assert warm.from_cache and warm.cache_tier == "disk"
         assert np.array_equal(warm.counts.to_array(), cold.counts.to_array())
 
+    def test_serial_request_finds_a_count_computed_with_workers(self, store):
+        # 40 hyperedges: two workers get 20 anchors each, so the fan-out runs.
+        cold = MotifEngine(_make_hypergraph(), store=store).count(
+            CountSpec(num_workers=2)
+        )
+        warm = MotifEngine(
+            _make_hypergraph(), store=ArtifactStore(store.directory)
+        ).count(CountSpec(num_workers=1))
+        assert warm.from_cache and warm.cache_tier == "disk"
+        assert np.array_equal(warm.counts.to_array(), cold.counts.to_array())
+
     def test_unseeded_sampling_is_never_stored(self, store):
         spec = CountSpec(algorithm="mochy-a", num_samples=8)
         engine = MotifEngine(_make_hypergraph(), store=store)
