@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ReproError
+from repro.fastcore.projection import (
+    aggregate_cooccurrence,
+    merge_partial_pairs,
+    pairs_to_symmetric_csr,
+)
 from repro.hypergraph import Hypergraph
 from repro.generators import generate_uniform_random
 from repro.motifs import MotifCounts, classify_instance
 from repro.obs import metrics as obs_metrics
-from repro.projection import project
+from repro.projection import ProjectedGraph, project
 from repro.store import ENV_STORE_DIR, reset_default_store
 
 
@@ -127,6 +133,38 @@ def brute_force_counts(hypergraph: Hypergraph) -> MotifCounts:
             continue
         counts.increment(motif)
     return counts
+
+
+def node_range_partials(hypergraph: Hypergraph, parts: int):
+    """Aggregated ``(pair keys, multiplicities)`` of *parts* node-row ranges.
+
+    The node membership rows are cut into *parts* contiguous ranges (empty
+    ones included when *parts* exceeds the node count) and each range is
+    aggregated on its own, so a hyperedge pair whose shared nodes fall in
+    several ranges appears in several partials.
+    """
+    csr = hypergraph.csr()
+    bounds = np.linspace(0, csr.num_nodes, parts + 1).astype(np.int64)
+    partials = []
+    for start, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        first, last = csr.node_ptr[start], csr.node_ptr[end]
+        partials.append(
+            aggregate_cooccurrence(
+                csr.node_ptr[start : end + 1] - first,
+                csr.node_edges[first:last],
+                csr.num_edges,
+            )
+        )
+    return tuple(partials)
+
+
+def project_by_node_ranges(hypergraph: Hypergraph, parts: int) -> ProjectedGraph:
+    """The projected graph built by merging :func:`node_range_partials`."""
+    num_edges = hypergraph.num_hyperedges
+    keys, counts = merge_partial_pairs(node_range_partials(hypergraph, parts))
+    return ProjectedGraph.from_csr(
+        num_edges, *pairs_to_symmetric_csr(keys, counts, num_edges)
+    )
 
 
 @pytest.fixture

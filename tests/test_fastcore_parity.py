@@ -28,6 +28,7 @@ from repro.fastcore.reference import (
 )
 from repro.hypergraph import Hypergraph
 from repro.projection import LazyProjection, project
+from tests.conftest import project_by_node_ranges
 
 #: Seeds for the random parity corpus (≥ 20 hypergraphs).
 PARITY_SEEDS = tuple(range(24))
@@ -63,6 +64,10 @@ class TestProjectionParity:
     def test_array_projection_matches_dict_projection(self, parity_case):
         _, fast, reference = parity_case
         assert fast == reference
+
+    def test_node_range_partials_merge_to_projection(self, parity_case):
+        hypergraph, fast, _ = parity_case
+        assert project_by_node_ranges(hypergraph, 3) == fast
 
 
 class TestExactParity:

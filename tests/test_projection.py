@@ -7,6 +7,7 @@ import pytest
 from repro.exceptions import ProjectionError
 from repro.hypergraph import Hypergraph
 from repro.projection import ProjectedGraph, neighborhood_of, project
+from tests.conftest import node_range_partials, project_by_node_ranges
 
 
 class TestProjectedGraphContainer:
@@ -80,4 +81,30 @@ class TestProjection:
         hypergraph = Hypergraph([[1, 2], [3, 4]])
         projection = project(hypergraph)
         assert projection.num_hyperwedges == 0
+
+
+class TestNodeRangeMerge:
+    """Partials of disjoint node ranges merge into the projection."""
+
+    def test_matches_serial(self, small_random_hypergraph):
+        serial = project(small_random_hypergraph)
+        assert project_by_node_ranges(small_random_hypergraph, 2) == serial
+
+    def test_single_range_is_the_projection(self, paper_hypergraph):
+        assert project_by_node_ranges(paper_hypergraph, 1) == project(paper_hypergraph)
+
+    def test_more_ranges_than_nodes(self, paper_hypergraph):
+        partials = node_range_partials(paper_hypergraph, 16)
+        assert any(keys.size == 0 for keys, _ in partials)
+        assert project_by_node_ranges(paper_hypergraph, 16) == project(paper_hypergraph)
+
+    def test_pair_weight_is_summed_across_ranges(self):
+        # e0 and e1 share nodes 0 and 1; one range per node puts each shared
+        # node's co-occurrence in its own partial.
+        hypergraph = Hypergraph([[0, 1, 2], [0, 1, 3]])
+        partials = node_range_partials(hypergraph, hypergraph.num_nodes)
+        assert sorted(int(counts.sum()) for _, counts in partials) == [0, 0, 1, 1]
+        merged = project_by_node_ranges(hypergraph, hypergraph.num_nodes)
+        assert merged.overlap(0, 1) == 2
+        assert merged == project(hypergraph)
 
