@@ -6,6 +6,11 @@ through the per-triple seed implementation kept in
 :mod:`repro.fastcore.reference`, and writes ``BENCH_core.json`` at the repo
 root so the perf trajectory is tracked from PR to PR. Runnable both as a
 pytest test and as a script (``python benchmarks/bench_core_speed.py``).
+
+The reference classifies each triple through the same 128-entry pattern
+table as the fast core, so the speedup measures enumeration and arithmetic
+only: about 60× on a 2-vCPU box, where it read 110–230× while the reference
+canonicalized every pattern.
 """
 
 from __future__ import annotations

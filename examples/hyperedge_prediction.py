@@ -5,7 +5,7 @@ to it, and runs the prediction experiment: the earlier years are the context,
 candidate hyperedges of the final year are classified as real or fake, and the
 HM26 / HM7 / HC feature sets are compared across the five classifier families.
 
-Run with ``python examples/hyperedge_prediction.py`` (takes a few minutes).
+Run with ``python examples/hyperedge_prediction.py`` (takes about 15 s).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Protocol
 
 from repro.exceptions import ProjectionError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.motifs.classify import classify_from_cardinalities, triple_overlap_size
+from repro.motifs.classify import classify_instance
 
 
 class NeighborhoodProvider(Protocol):
@@ -91,22 +91,14 @@ def classify_triple(
     MoCHy algorithms); a disconnected or degenerate triple raises the same
     exceptions as :func:`repro.motifs.classify_instance`.
     """
-    edge_i = hypergraph.hyperedge(i)
-    edge_j = hypergraph.hyperedge(j)
-    edge_k = hypergraph.hyperedge(k)
     # Query overlaps from the endpoints whose neighborhoods the calling
     # algorithm has already touched (i and j): with a lazy projection this
     # avoids materializing the neighborhood of every candidate e_k.
-    overlap_ij = projection.overlap(i, j)
-    overlap_jk = projection.overlap(j, k)
-    overlap_ki = projection.overlap(i, k)
-    overlap_ijk = triple_overlap_size(edge_i, edge_j, edge_k)
-    return classify_from_cardinalities(
-        len(edge_i),
-        len(edge_j),
-        len(edge_k),
-        overlap_ij,
-        overlap_jk,
-        overlap_ki,
-        overlap_ijk,
+    return classify_instance(
+        hypergraph.hyperedge(i),
+        hypergraph.hyperedge(j),
+        hypergraph.hyperedge(k),
+        projection.overlap(i, j),
+        projection.overlap(j, k),
+        projection.overlap(i, k),
     )

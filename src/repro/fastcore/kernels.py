@@ -39,12 +39,13 @@ which adds its true motif and removes the as-if-open codes of its three
 orientations (``_accumulate_triangles``).
 
 Exactness: the kernels compute identical integer cardinalities to the
-reference loops and raise the same exceptions (``MotifError`` /
-``DuplicateHyperedgeError`` / ``NotConnectedError``) on invalid triples — a
-duplicate pair always sits in a triangle, and as-if-open codes are valid
-motifs for any input. Counters are integer sums in float64 (far below
-2**53), so the resulting ``MotifCounts`` are bit-identical regardless of
-block boundaries.
+reference loops, read the same table and raise the same exceptions
+(``MotifError`` / ``DuplicateHyperedgeError`` / ``NotConnectedError``) on
+invalid triples — a duplicate pair always sits in a triangle, and as-if-open
+codes are valid motifs for any input. Kernel parity therefore checks the
+cardinalities, not the table, which ``tests/test_motif_classify.py`` checks
+on its own. Counters are integer sums in float64 (far below 2**53), so the
+resulting ``MotifCounts`` are bit-identical regardless of block boundaries.
 """
 
 from __future__ import annotations
@@ -54,12 +55,7 @@ from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from repro.exceptions import (
-    DuplicateHyperedgeError,
-    MotifError,
-    NotConnectedError,
-    ProjectionError,
-)
+from repro.exceptions import ProjectionError
 from repro.fastcore.csr import HypergraphCSR
 from repro.fastcore.projection import (
     gather_row_positions,
@@ -67,10 +63,9 @@ from repro.fastcore.projection import (
     sorted_member_positions,
 )
 from repro.motifs.classify import (
-    LOOKUP_DISCONNECTED,
-    LOOKUP_DUPLICATE,
-    LOOKUP_EMPTY_EDGE,
+    invalid_pattern_error,
     motif_lookup_table,
+    region_cardinalities_from_sizes,
 )
 from repro.motifs.patterns import NUM_MOTIFS
 
@@ -178,8 +173,9 @@ def classify_batch(
     """Motif ids (1..26) for a batch of triples given sizes and overlaps.
 
     Inputs broadcast against each other; all values are integers. Raises the
-    same exceptions as the scalar ``classify_from_cardinalities`` when any
-    element of the batch is invalid, reporting the first offending triple.
+    same exceptions, with the same messages, as the scalar
+    ``classify_from_cardinalities`` when any element of the batch is invalid,
+    reporting the first offending triple.
     """
     size_i, size_j, size_k, overlap_ij, overlap_jk, overlap_ki, overlap_ijk = (
         np.atleast_1d(*np.broadcast_arrays(
@@ -209,15 +205,11 @@ def classify_batch(
     for region in regions:
         bad |= region < 0
     if bad.any():
+        # The scalar check raises for the first inconsistent triple.
         at = int(np.argmax(bad))
-        raise MotifError(
-            "inconsistent cardinalities: "
-            f"sizes=({int(size_i[at])}, {int(size_j[at])}, {int(size_k[at])}), "
-            f"pairwise=({int(overlap_ij[at])}, {int(overlap_jk[at])}, "
-            f"{int(overlap_ki[at])}), "
-            f"triple={int(overlap_ijk[at])} produce negative region sizes "
-            f"{tuple(int(region[at]) for region in regions)}"
-        )
+        sizes = (size_i, size_j, size_k)
+        overlaps = (overlap_ij, overlap_jk, overlap_ki, overlap_ijk)
+        region_cardinalities_from_sizes(*(int(value[at]) for value in sizes + overlaps))
 
     code = np.zeros(only_i.shape, dtype=np.uint8)
     for position, region in enumerate(regions):
@@ -227,18 +219,7 @@ def classify_batch(
         # Report the first offending triple in batch order; counting is
         # all-or-nothing per batch, so which invalid triple is named does not
         # affect the raised exception type.
-        sentinel = int(motifs[np.argmax(motifs < 0)])
-        if sentinel == LOOKUP_EMPTY_EDGE:
-            raise MotifError("an h-motif instance cannot contain an empty hyperedge")
-        if sentinel == LOOKUP_DUPLICATE:
-            raise DuplicateHyperedgeError(
-                "h-motif instances must consist of three distinct hyperedges"
-            )
-        if sentinel == LOOKUP_DISCONNECTED:
-            raise NotConnectedError(
-                "the three hyperedges are not connected and do not form an "
-                "h-motif instance"
-            )
+        raise invalid_pattern_error(int(motifs[np.argmax(motifs < 0)]))
     return motifs.astype(np.int64)
 
 

@@ -10,6 +10,10 @@ they exist so that
 * ``benchmarks/bench_core_speed.py`` can measure the fast core's speedup
   against the seed implementation on the same inputs.
 
+The oracle classifies through the same 128-entry pattern table as the kernels
+(:func:`repro.motifs.classify.motif_lookup_table`); ``tests/test_motif_classify.py``
+checks that table on all 128 pattern codes against answers worked out from sets.
+
 Keep this module dependency-light and boring: its value is that it changes
 only when the *semantics* of the counters change.
 """

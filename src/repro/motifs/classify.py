@@ -7,23 +7,26 @@ pairwise intersection sizes and the triple intersection size using
 inclusion–exclusion, so the only set scan needed is over the *smallest*
 hyperedge (to compute the triple intersection), giving
 ``O(min(|e_i|, |e_j|, |e_k|))`` time when pairwise overlaps are available from
-the projected graph.
+the projected graph. Which regions are non-empty fixes the motif, so the
+answer is one read of :func:`motif_lookup_table`, the same 128-entry table
+the batched kernels index.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import AbstractSet, Optional, Tuple
+from typing import AbstractSet, Hashable, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import DuplicateHyperedgeError, MotifError, NotConnectedError
 from repro.motifs.patterns import Pattern, motif_index, pattern_from_bits
 
-SetLike = AbstractSet
+#: A hyperedge as :func:`classify_instance` reads it: any iterable of nodes.
+SetLike = Iterable[Hashable]
 
 #: Sentinels used in :func:`motif_lookup_table` for invalid emptiness patterns,
-#: mirroring the check order of :func:`_classify_pattern`.
+#: in check order: an empty hyperedge, two equal hyperedges, a disconnected triple.
 LOOKUP_EMPTY_EDGE = -1
 LOOKUP_DUPLICATE = -2
 LOOKUP_DISCONNECTED = -3
@@ -31,15 +34,16 @@ LOOKUP_DISCONNECTED = -3
 
 @lru_cache(maxsize=1)
 def motif_lookup_table() -> np.ndarray:
-    """Pattern-code → motif-index lookup table for batched classification.
+    """Pattern-code → motif-index lookup table, the one h-motif classifier.
 
     Entry ``c`` (for ``c`` in ``[0, 128)``) holds the 1-based motif index of
     the emptiness pattern whose :func:`repro.motifs.patterns.pattern_to_int`
     encoding is ``c``, or a negative sentinel (:data:`LOOKUP_EMPTY_EDGE`,
-    :data:`LOOKUP_DUPLICATE`, :data:`LOOKUP_DISCONNECTED`) matching the first
-    check :func:`_classify_pattern` would fail. The table folds the whole
-    canonicalization + validation pipeline into one int8 array so the fast
-    kernels classify entire batches with a single fancy index.
+    :data:`LOOKUP_DUPLICATE`, :data:`LOOKUP_DISCONNECTED`) naming the first
+    check it fails. The table folds the whole canonicalization + validation
+    pipeline into one int8 array, built once per process: the scalar
+    :func:`classify_from_cardinalities` reads one entry, and the fast kernels
+    classify entire batches with a single fancy index.
     """
     from repro.motifs import patterns as pattern_module
 
@@ -124,19 +128,38 @@ def classify_from_cardinalities(
 
     Raises
     ------
+    MotifError
+        If the sizes are inconsistent or a hyperedge is empty.
     NotConnectedError
         If the three hyperedges are not connected.
     DuplicateHyperedgeError
         If two of the hyperedges are identical.
     """
-    pattern = pattern_from_cardinalities(
+    regions = region_cardinalities_from_sizes(
         size_i, size_j, size_k, overlap_ij, overlap_jk, overlap_ki, overlap_ijk
     )
-    return _classify_pattern(pattern)
+    code = sum(1 << position for position, value in enumerate(regions) if value)
+    motif = int(motif_lookup_table()[code])
+    if motif < 0:
+        raise invalid_pattern_error(motif)
+    return motif
+
+
+def invalid_pattern_error(sentinel: int) -> MotifError:
+    """The exception for a negative :func:`motif_lookup_table` entry."""
+    if sentinel == LOOKUP_EMPTY_EDGE:
+        return MotifError("an h-motif instance cannot contain an empty hyperedge")
+    if sentinel == LOOKUP_DUPLICATE:
+        return DuplicateHyperedgeError(
+            "h-motif instances must consist of three distinct hyperedges"
+        )
+    return NotConnectedError(
+        "the three hyperedges are not connected and do not form an h-motif instance"
+    )
 
 
 def triple_overlap_size(
-    edge_i: SetLike, edge_j: SetLike, edge_k: SetLike
+    edge_i: AbstractSet, edge_j: AbstractSet, edge_k: AbstractSet
 ) -> int:
     """``|e_i ∩ e_j ∩ e_k|`` computed by scanning the smallest hyperedge."""
     smallest, second, third = sorted((edge_i, edge_j, edge_k), key=len)
@@ -153,6 +176,7 @@ def classify_instance(
 ) -> int:
     """Motif index (1..26) of the instance ``{edge_i, edge_j, edge_k}``.
 
+    Each hyperedge may be any iterable of nodes and is read as a set.
     Pairwise overlap sizes may be supplied (they are stored on the projected
     graph as hyperwedge weights ``ω``); any that are omitted are computed from
     the sets directly.
@@ -164,37 +188,19 @@ def classify_instance(
     DuplicateHyperedgeError
         If two of the hyperedges are equal as sets.
     """
+    edge_i, edge_j, edge_k = frozenset(edge_i), frozenset(edge_j), frozenset(edge_k)
     if overlap_ij is None:
-        overlap_ij = len(edge_i & edge_j) if isinstance(edge_i, (set, frozenset)) else len(set(edge_i) & set(edge_j))
+        overlap_ij = len(edge_i & edge_j)
     if overlap_jk is None:
-        overlap_jk = len(edge_j & edge_k) if isinstance(edge_j, (set, frozenset)) else len(set(edge_j) & set(edge_k))
+        overlap_jk = len(edge_j & edge_k)
     if overlap_ki is None:
-        overlap_ki = len(edge_k & edge_i) if isinstance(edge_k, (set, frozenset)) else len(set(edge_k) & set(edge_i))
-    overlap_ijk = triple_overlap_size(edge_i, edge_j, edge_k)
-    pattern = pattern_from_cardinalities(
+        overlap_ki = len(edge_k & edge_i)
+    return classify_from_cardinalities(
         len(edge_i),
         len(edge_j),
         len(edge_k),
         overlap_ij,
         overlap_jk,
         overlap_ki,
-        overlap_ijk,
+        triple_overlap_size(edge_i, edge_j, edge_k),
     )
-    return _classify_pattern(pattern)
-
-
-def _classify_pattern(pattern: Pattern) -> int:
-    from repro.motifs import patterns as pattern_module
-
-    if any(pattern_module.edge_is_empty(pattern, position) for position in range(3)):
-        raise MotifError("an h-motif instance cannot contain an empty hyperedge")
-    for first, second in ((0, 1), (1, 2), (0, 2)):
-        if pattern_module.edges_are_duplicated(pattern, first, second):
-            raise DuplicateHyperedgeError(
-                "h-motif instances must consist of three distinct hyperedges"
-            )
-    if not pattern_module.is_connected(pattern):
-        raise NotConnectedError(
-            "the three hyperedges are not connected and do not form an h-motif instance"
-        )
-    return motif_index(pattern)

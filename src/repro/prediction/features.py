@@ -28,7 +28,7 @@ import numpy as np
 from repro.counting.classification import NeighborhoodProvider
 from repro.exceptions import MotifError
 from repro.hypergraph.hypergraph import Hypergraph, Node
-from repro.motifs.classify import classify_from_cardinalities, triple_overlap_size
+from repro.motifs.classify import classify_instance
 from repro.motifs.counts import MotifCounts
 from repro.motifs.patterns import NUM_MOTIFS
 from repro.projection.builder import project
@@ -81,8 +81,13 @@ def motif_counts_for_candidate(
         for k in partners:
             if k not in overlap_set or j < k:
                 try:
-                    motif = _classify_candidate_triple(
-                        hypergraph, projection, candidate_nodes, overlaps, j, k
+                    motif = classify_instance(
+                        candidate_nodes,
+                        hypergraph.hyperedge(j),
+                        hypergraph.hyperedge(k),
+                        overlaps.get(j, 0),
+                        projection.overlap(j, k),
+                        overlaps.get(k, 0),
                     )
                 except MotifError:
                     # The candidate duplicates a context hyperedge (typical for
@@ -91,31 +96,6 @@ def motif_counts_for_candidate(
                     continue
                 counts.increment(motif)
     return counts
-
-
-def _classify_candidate_triple(
-    hypergraph: Hypergraph,
-    projection: NeighborhoodProvider,
-    candidate_nodes: frozenset,
-    overlaps: Dict[int, int],
-    j: int,
-    k: int,
-) -> int:
-    edge_j = hypergraph.hyperedge(j)
-    edge_k = hypergraph.hyperedge(k)
-    overlap_cj = overlaps.get(j, 0)
-    overlap_ck = overlaps.get(k, 0)
-    overlap_jk = projection.overlap(j, k)
-    overlap_cjk = triple_overlap_size(candidate_nodes, edge_j, edge_k)
-    return classify_from_cardinalities(
-        len(candidate_nodes),
-        len(edge_j),
-        len(edge_k),
-        overlap_cj,
-        overlap_jk,
-        overlap_ck,
-        overlap_cjk,
-    )
 
 
 def hm26_features(

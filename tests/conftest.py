@@ -114,7 +114,9 @@ def brute_force_counts(hypergraph: Hypergraph) -> MotifCounts:
     """Reference motif counts by explicit enumeration of all hyperedge triples.
 
     Quadratic/cubic in the number of hyperedges, so only usable on small
-    fixtures, but completely independent of the MoCHy implementation.
+    fixtures. Independent of the MoCHy enumeration, but not of the
+    classifier: ``classify_instance`` reads the same 128-entry pattern table
+    as the kernels, which ``tests/test_motif_classify.py`` checks on its own.
     """
     counts = MotifCounts.zeros()
     edges = hypergraph.hyperedges()

@@ -101,21 +101,35 @@ class TestFeatures:
         """For a hyperedge already in the hypergraph, the candidate feature equals
         the number of instances containing that hyperedge (minus itself as a partner)."""
         projection = project(medium_random_hypergraph)
-        index = 0
-        member_counts = count_instances_containing(
-            medium_random_hypergraph, index, projection
-        )
-        # Build the context without hyperedge `index`, then ask for the candidate
-        # features of that hyperedge against the reduced context.
-        remaining = [
-            edge
-            for position, edge in enumerate(medium_random_hypergraph.hyperedges())
-            if position != index
-        ]
-        context = Hypergraph(remaining)
-        candidate = medium_random_hypergraph.hyperedge(index)
-        candidate_counts = motif_counts_for_candidate(context, candidate)
-        assert candidate_counts.to_dict() == member_counts.to_dict()
+        for index in range(medium_random_hypergraph.num_hyperedges):
+            member_counts = count_instances_containing(
+                medium_random_hypergraph, index, projection
+            )
+            # Build the context without hyperedge `index`, then ask for the
+            # candidate features of that hyperedge against the reduced context.
+            remaining = [
+                edge
+                for position, edge in enumerate(medium_random_hypergraph.hyperedges())
+                if position != index
+            ]
+            context = Hypergraph(remaining)
+            candidate = medium_random_hypergraph.hyperedge(index)
+            candidate_counts = motif_counts_for_candidate(context, candidate)
+            assert candidate_counts.to_dict() == member_counts.to_dict(), index
+
+    def test_hm26_rows_of_context_hyperedges(self, medium_random_hypergraph):
+        """A candidate equal to context hyperedge d skips the triples holding both
+        (the classifier rejects them as duplicates), so its HM26 row counts the
+        instances containing d."""
+        edges = medium_random_hypergraph.hyperedges()
+        matrix = hm26_features(medium_random_hypergraph, edges)
+        projection = project(medium_random_hypergraph)
+        assert matrix.shape == (len(edges), NUM_MOTIFS)
+        for index in range(len(edges)):
+            member_counts = count_instances_containing(
+                medium_random_hypergraph, index, projection
+            )
+            assert matrix[index].tolist() == member_counts.to_array().tolist(), index
 
     def test_hm26_feature_matrix_shape(self, small_random_hypergraph):
         candidates = list(small_random_hypergraph.hyperedges())[:5]
