@@ -785,7 +785,7 @@ def _run_cache_gc(store: ArtifactStore) -> None:
 
 
 def _run_cache_warm(store: ArtifactStore, arguments) -> None:
-    from repro.store.serve import EngineServer, ServeRequest
+    from repro.store.serve import EngineServer
 
     specs = [CountSpec()]
     if arguments.profile is not None:
@@ -796,16 +796,14 @@ def _run_cache_warm(store: ArtifactStore, arguments) -> None:
         except SpecError as error:
             raise CLIError(str(error)) from error
     server = EngineServer(store=store)
-    requests = [
-        ServeRequest(dataset, spec)
-        for dataset in arguments.datasets
-        for spec in specs
-    ]
     try:
         # One batch over all datasets, so --workers overlaps whole datasets
         # (the unit of cold work) rather than specs within one.
-        results = server.submit(
-            requests, workers=arguments.workers, backend=arguments.backend
+        results = server.warm(
+            arguments.datasets,
+            specs,
+            workers=arguments.workers,
+            backend=arguments.backend,
         )
     except (DatasetError, SpecError) as error:
         raise CLIError(str(error)) from error
@@ -941,8 +939,6 @@ def _read_serve_requests(source: str):
             record = json.loads(line)
         except ValueError as error:
             raise CLIError(f"line {number}: invalid JSON ({error})") from error
-        if not isinstance(record, dict):
-            raise CLIError(f"line {number}: expected a JSON object, got {record!r}")
         try:
             requests.append(request_from_dict(record))
         except SpecError as error:

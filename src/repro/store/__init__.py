@@ -56,7 +56,6 @@ __all__ = [
     "FileLock",
     "EngineServer",
     "ServeRequest",
-    "BatchFuture",
     "WorkerPool",
     "UnitFailure",
     "MotifHTTPServer",
@@ -84,7 +83,6 @@ def __getattr__(name: str):
         "EngineServer",
         "ServeRequest",
         "ServeStats",
-        "BatchFuture",
         "request_from_dict",
     ):
         from repro.store import serve

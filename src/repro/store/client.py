@@ -371,35 +371,21 @@ class ServiceClient:
             time.sleep(min(sleep, max(0.0, deadline - time.monotonic())))
             delay = min(delay * 2.0, max_interval)
 
-    def batch_stream(
-        self, requests: List[RequestLike], request_id: Optional[str] = None
+    def _post_stream(
+        self, path: str, document: Dict[str, Any], request_id: Optional[str]
     ) -> Iterator[Dict[str, Any]]:
-        """``POST /v1/batch``, yielding each NDJSON record as it arrives.
+        """POST *document* to *path*, yielding each NDJSON record as it arrives.
 
-        Records come back in completion order (see the service docs): one
-        ``ok``/``error`` record per request plus the trailing ``done``
-        summary. Non-2xx responses raise :class:`ServiceError` before
-        anything is yielded; transient refusals (429/503, connection drops
-        before the response starts) are retried with backoff first. Once
-        the stream has started, failures are **not** retried — records were
-        already delivered — and surface as the connection error they are.
-
-        Every batch travels with an ``X-Request-Id`` header — *request_id*
-        if given, else the ambient :func:`repro.obs.trace.trace` id, else a
-        fresh one — recorded as :attr:`last_request_id`. The service echoes
-        it on each streamed record, so a batch can be correlated with the
-        server's structured log after the fact.
+        The one reader behind :meth:`batch_stream` and :meth:`evolve_stream`:
+        it sends the ``X-Request-Id`` header, retries only what
+        :meth:`_request_with_retry` may, and raises :class:`ServiceError` for
+        a non-2xx answer before anything is yielded.
         """
-        body = json.dumps(
-            {"requests": [request_to_dict(request) for request in requests]}
-        ).encode("utf-8")
-        self.last_request_id = (
-            request_id or current_request_id() or new_request_id()
-        )
+        self.last_request_id = request_id or current_request_id() or new_request_id()
         response = self._request_with_retry(
             "POST",
-            "/v1/batch",
-            body=body,
+            path,
+            body=json.dumps(document).encode("utf-8"),
             headers={
                 "Content-Type": "application/json",
                 REQUEST_ID_HEADER: self.last_request_id,
@@ -424,6 +410,28 @@ class ServiceClient:
             # unread data on the wire, so the connection must go.
             if not completed or not response.isclosed() or response.will_close:
                 self._drop_connection()
+
+    def batch_stream(
+        self, requests: List[RequestLike], request_id: Optional[str] = None
+    ) -> Iterator[Dict[str, Any]]:
+        """``POST /v1/batch``, yielding each NDJSON record as it arrives.
+
+        Records come back in completion order (see the service docs): one
+        ``ok``/``error`` record per request plus the trailing ``done``
+        summary. Non-2xx responses raise :class:`ServiceError` before
+        anything is yielded; transient refusals (429/503, connection drops
+        before the response starts) are retried with backoff first. Once
+        the stream has started, failures are **not** retried — records were
+        already delivered — and surface as the connection error they are.
+
+        Every batch travels with an ``X-Request-Id`` header — *request_id*
+        if given, else the ambient :func:`repro.obs.trace.trace` id, else a
+        fresh one — recorded as :attr:`last_request_id`. The service echoes
+        it on each streamed record, so a batch can be correlated with the
+        server's structured log after the fact.
+        """
+        document = {"requests": [request_to_dict(request) for request in requests]}
+        yield from self._post_stream("/v1/batch", document, request_id)
 
     def evolve_stream(
         self,
@@ -451,37 +459,8 @@ class ServiceClient:
             spec_mapping = spec
         else:
             spec_mapping = spec_to_dict(spec)
-        body = json.dumps({"source": str(source), "spec": spec_mapping}).encode(
-            "utf-8"
-        )
-        self.last_request_id = (
-            request_id or current_request_id() or new_request_id()
-        )
-        response = self._request_with_retry(
-            "POST",
-            "/v1/evolve",
-            body=body,
-            headers={
-                "Content-Type": "application/json",
-                REQUEST_ID_HEADER: self.last_request_id,
-            },
-        )
-        if response.status != 200:
-            payload = self._parse_json(response.read(), response.status)
-            if response.will_close:
-                self._drop_connection()
-            raise self._error_from(response.status, payload)
-        completed = False
-        try:
-            for line in response:
-                line = line.strip()
-                if not line:
-                    continue
-                yield json.loads(line)
-            completed = True
-        finally:
-            if not completed or not response.isclosed() or response.will_close:
-                self._drop_connection()
+        document = {"source": str(source), "spec": spec_mapping}
+        yield from self._post_stream("/v1/evolve", document, request_id)
 
     def evolve(
         self,

@@ -1,21 +1,22 @@
-"""Execution backends for the batch-serving driver (:mod:`repro.store.serve`).
+"""How the units of a served batch run (:mod:`repro.store.serve`).
 
 A deduplicated batch is a list of independent *units* — one ``(dataset,
-spec)`` computation each — and an executor decides how they run:
+spec)`` computation each — and :func:`stream_units` is the one loop that
+runs them, yielding ``(unit index, outcome)`` pairs:
 
-* :class:`SerialExecutor` — in the calling thread, one after another; the
-  reference semantics every other backend must reproduce **bit-identically**
-  (for exact and integer-seeded specs).
-* :class:`ThreadExecutor` — a thread pool over the server's own engine pool.
+* with no pool, in the calling thread, one after another — the reference
+  semantics every pool must reproduce **bit-identically** (for exact and
+  integer-seeded specs);
+* on a ``"thread"`` :class:`WorkerPool`, over the server's own engine pool.
   Units on *different* datasets overlap (NumPy kernels release the GIL);
   units on the same dataset serialize on that engine's lock, so engines
-  never race on their internal caches.
-* :class:`ProcessExecutor` — real CPU parallelism. Following the pattern of
-  :mod:`repro.counting.parallel`, workers are shipped **CSR arrays and spec
-  dicts, never pickled engines**: the parent resolves each dataset once,
-  hands over the hyperedge rows of its canonical CSR view plus the spec's
-  plain-dict form, and the worker rebuilds the hypergraph, runs a private
-  engine and returns the typed result.
+  never race on their internal caches;
+* on a ``"process"`` :class:`WorkerPool`, with real CPU parallelism.
+  Following the pattern of :mod:`repro.counting.parallel`, workers are
+  shipped **CSR arrays and spec dicts, never pickled engines**: the parent
+  resolves each dataset once, hands over the hyperedge rows of its canonical
+  CSR view plus the spec's plain-dict form, and the worker rebuilds the
+  hypergraph, runs a private engine and returns the typed result.
 
 Why the CSR rebuild is safe: every counting path runs on the CSR view, whose
 dense node ids come from the hypergraph's deterministic node ordering, and
@@ -29,14 +30,12 @@ directory open their own :class:`~repro.store.ArtifactStore` over it; the
 store's interprocess write locking makes those concurrent same-directory
 writers safe.
 
-Pool lifetime is decoupled from batch dispatch: by default an executor opens
-a fresh worker pool per ``map``/``map_stream`` call (one-shot batches pay
-nothing between calls), while a long-lived front-end — the HTTP service in
-:mod:`repro.store.server` — hands its executors a :class:`WorkerPool`, whose
-workers are reused across batches until the pool is closed. ``map`` collects
-a whole batch in unit order; ``map_stream`` yields ``(unit index, outcome)``
-pairs in *completion* order, which is what lets the service stream results
-over the wire while slower units are still running.
+:class:`WorkerPool` is the one owner of worker pools in this package. A
+long-lived front-end — the HTTP service in :mod:`repro.store.server` — keeps
+one open across batches; a batch that asks for an explicit worker count gets
+a pool of its own, no wider than the batch, closed when the batch ends. Pool
+units arrive in *completion* order, which is what lets the service stream
+results over the wire while slower units are still running.
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ import logging
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +54,7 @@ from repro.counting.parallel import (
     BACKEND_THREAD,
     make_executor,
 )
-from repro.exceptions import ServeError, SpecError
+from repro.exceptions import SpecError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import current_request_id, log_event, trace
@@ -348,17 +346,43 @@ def execute_payload(payload: WorkerPayload):
         return result
 
 
-class WorkerPool:
-    """A long-lived worker pool, decoupled from any one batch's dispatch.
+def resolve_backend(backend: Optional[str], workers: int) -> str:
+    """Validate ``(backend, workers)``; the backend that runs them.
 
-    Executors without a pool open a fresh ``concurrent.futures`` pool per
-    batch and tear it down afterwards — correct, but a continuously-serving
-    front-end would pay thread/process startup on every request. A
-    ``WorkerPool`` owns the underlying pool instead: it is opened lazily on
-    first use, **reused across batches**, and shut down once by
-    :meth:`close` (or the context manager). The backend — ``"thread"`` or
-    ``"process"`` — is fixed at construction, which is how the HTTP service
-    chooses its execution mode at startup.
+    ``backend=None`` picks ``"serial"`` for one worker and ``"thread"`` for
+    several. Unknown backends and non-positive worker counts raise
+    :class:`SpecError` before any work runs. Both entry points that take the
+    pair — :class:`~repro.store.serve.EngineServer` batches and
+    :func:`~repro.store.server.build_server` — check it here, so they refuse
+    the same pairs with the same message.
+    """
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers <= 0:
+        raise SpecError(f"workers must be a positive integer, got {workers!r}")
+    if backend is None:
+        return SERVE_BACKEND_SERIAL if workers == 1 else SERVE_BACKEND_THREAD
+    if backend not in SERVE_BACKENDS:
+        raise SpecError(
+            f"backend must be one of {SERVE_BACKENDS} (or None to choose "
+            f"automatically), got {backend!r}"
+        )
+    return backend
+
+
+class WorkerPool:
+    """The one owner of a ``concurrent.futures`` worker pool.
+
+    The pool is opened lazily on first use, **reused across batches**, and
+    shut down once by :meth:`close` (or the context manager). The backend —
+    ``"thread"`` or ``"process"`` — is fixed at construction. The HTTP
+    service keeps one open for its whole life, so a continuously-serving
+    front-end never pays thread/process startup per request; a batch with
+    an explicit worker count opens one for that batch alone.
+
+    Process pools use the platform's default start method (like the parallel
+    counters in :mod:`repro.counting.parallel`): ``fork`` on Linux up to
+    Python 3.13, ``forkserver`` from 3.14. ``spawn``/``forkserver`` are not
+    forced: they re-import ``__main__`` in every worker, which breaks
+    stdin/REPL-driven parents and pays per-worker import time.
     """
 
     def __init__(self, backend: str, workers: int) -> None:
@@ -368,8 +392,7 @@ class WorkerPool:
                 f"{SERVE_BACKEND_PROCESS!r} backend, got {backend!r} "
                 f"(serial execution needs no pool)"
             )
-        if isinstance(workers, bool) or not isinstance(workers, int) or workers <= 0:
-            raise SpecError(f"workers must be a positive integer, got {workers!r}")
+        resolve_backend(backend, workers)  # the workers check
         self.backend = backend
         self.workers = workers
         self._executor = None
@@ -433,12 +456,6 @@ class WorkerPool:
                 self._executor = make_executor(self.backend, self.workers)
             return self._executor
 
-    def serve_executor(self) -> "ServeExecutor":
-        """A serving executor dispatching batches onto this pool's workers."""
-        if self.backend == SERVE_BACKEND_PROCESS:
-            return ProcessExecutor(self.workers, pool=self)
-        return ThreadExecutor(self.workers, pool=self)
-
     def close(self, wait: bool = True) -> None:
         """Shut the workers down; idempotent, and permanent for this pool."""
         with self._lock:
@@ -468,288 +485,120 @@ class WorkerPool:
         }
 
 
-class ServeExecutor:
-    """How a deduplicated batch of :class:`ServeUnit` runs; see the backends."""
+def _submit_local(executor, unit: ServeUnit):
+    """Submit *unit* to a thread pool, to run over the server's engines."""
+    # Pool threads inherit neither the submitter's contextvars nor its
+    # clock: capture the request id and the enqueue instant here, then
+    # re-bind/observe when a worker thread actually picks the unit up.
+    request_id = current_request_id()
+    enqueued = time.monotonic()
 
-    name: str
+    def run():
+        QUEUE_WAIT_SECONDS.observe(
+            time.monotonic() - enqueued, backend=SERVE_BACKEND_THREAD
+        )
+        with trace(request_id):
+            return unit.run_local()
 
-    def map(self, units: Sequence[ServeUnit]) -> List[Any]:
-        """Execute every unit, returning results in unit order."""
-        raise NotImplementedError
-
-    def map_stream(
-        self, units: Sequence[ServeUnit], deadline: Optional[float] = None
-    ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(unit index, outcome)`` pairs as units complete.
-
-        Completion order, not unit order — the streaming front-ends forward
-        each outcome the moment it exists and label it with its index.
-
-        *deadline* is an absolute ``time.monotonic()`` instant: once it
-        passes, units that have not finished resolve to structured
-        :meth:`UnitFailure.timeout` records instead of blocking the stream.
-        Units already mid-execution cannot be preempted (threads are not
-        killable); they are abandoned to finish in the background while
-        their slots get the timeout record — the stream itself never hangs.
-        """
-        raise NotImplementedError
+    return executor.submit(run)
 
 
-class SerialExecutor(ServeExecutor):
-    """Reference backend: units run in the calling thread, in order."""
+def _submit_payload(executor, payload: WorkerPayload):
+    """Submit a unit's shipped form to a process pool."""
+    return executor.submit(execute_payload, payload)
 
-    name = SERVE_BACKEND_SERIAL
 
-    def map(self, units: Sequence[ServeUnit]) -> List[Any]:
-        return [unit.run_local() for unit in units]
+def stream_units(
+    units: Sequence[ServeUnit],
+    pool: Optional[WorkerPool] = None,
+    deadline: Optional[float] = None,
+) -> Iterator[Tuple[int, Any]]:
+    """Run a batch's units, yielding ``(unit index, outcome)`` pairs.
 
-    def map_stream(
-        self, units: Sequence[ServeUnit], deadline: Optional[float] = None
-    ) -> Iterator[Tuple[int, Any]]:
-        # Serial execution cannot preempt a running unit; the deadline is
-        # honored between units, so one slow unit cannot drag the whole
-        # remainder of the batch past the budget.
+    Without a *pool* the units run in the calling thread, in unit order. On
+    a :class:`WorkerPool` they run concurrently and arrive in *completion*
+    order — the streaming front-ends forward each outcome the moment it
+    exists and label it with its index. Thread and process pools differ only
+    in how one unit is submitted: a thread runs ``unit.run_local``; a process
+    receives the unit's :class:`WorkerPayload`, materialized here in the
+    parent *before* the pool opens, which resolves each dataset through the
+    parent's engine pool exactly once and surfaces load errors eagerly
+    rather than from a worker.
+
+    *deadline* is an absolute ``time.monotonic()`` instant: once it passes,
+    units that have not finished resolve to structured
+    :meth:`UnitFailure.timeout` records instead of blocking the stream. A
+    running unit cannot be preempted. Serially the deadline is honored
+    between units, so one slow unit cannot drag the rest of the batch past
+    the budget; on a pool, units already mid-execution are abandoned to
+    finish in the background (threads are not killable) while their slots
+    get the timeout record. Units lost to a dead process worker resolve to
+    :meth:`UnitFailure.worker_crash` records and the pool respawns for the
+    next batch: a crashed worker never wedges a stream or poisons the pool.
+    """
+    if pool is None:
         for index, unit in enumerate(units):
             if deadline is not None and time.monotonic() >= deadline:
                 yield index, UnitFailure.timeout(unit.label)
             else:
                 yield index, unit.run_local()
-
-
-class _PoolExecutor(ServeExecutor):
-    """Shared fan-out/collect loop of the thread and process backends.
-
-    Subclasses provide ``_prepare`` (turn units into the items the backend
-    executes — identity for threads, payload materialization for processes)
-    plus the per-item inline/submitted execution. With a persistent
-    :class:`WorkerPool` the batch dispatches onto the pool's long-lived
-    workers; without one, a fresh pool is opened per batch (and a
-    single-worker batch simply runs inline).
-    """
-
-    def __init__(self, num_workers: int, pool: Optional[WorkerPool] = None) -> None:
-        self._num_workers = int(num_workers)
-        self._pool = pool
-
-    def _prepare(self, units: Sequence[ServeUnit]) -> Sequence[Any]:
-        return units
-
-    def _run_inline(self, item):
-        raise NotImplementedError
-
-    def _submit(self, executor, item):
-        raise NotImplementedError
-
-    @contextmanager
-    def _lease(self, num_items: int):
-        """Yield the executor running this batch (``None`` → run inline).
-
-        A persistent pool is borrowed and *not* shut down afterwards — its
-        lifetime belongs to :class:`WorkerPool`; an ephemeral pool lives
-        exactly as long as the batch.
-        """
-        if self._pool is not None:
-            yield self._pool.executor()
+        return
+    if not units:
+        return
+    if pool.backend == SERVE_BACKEND_PROCESS:
+        items: Sequence[Any] = [unit.make_payload() for unit in units]
+        submit = _submit_payload
+    else:
+        items, submit = units, _submit_local
+    executor = pool.executor()
+    pending: Dict[Any, int] = {}
+    submitted: Dict[int, float] = {}
+    try:
+        for index, item in enumerate(items):
+            submitted[index] = time.monotonic()
+            pending[submit(executor, item)] = index
+    except BrokenExecutor as error:
+        # The pool was already broken (a worker died idle, after a previous
+        # batch): the units never submitted become crash records below,
+        # alongside whatever did get submitted.
+        pool.reset(executor)
+        for index in range(len(pending), len(items)):
+            yield index, UnitFailure.worker_crash(units[index].label, error)
+    while pending:
+        budget = None if deadline is None else deadline - time.monotonic()
+        if budget is not None and budget <= 0:
+            done = set()
+        else:
+            done, _ = wait(set(pending), timeout=budget, return_when=FIRST_COMPLETED)
+        if not done:
+            # Deadline expired: cancel what never started, abandon what did
+            # (threads cannot be killed), and resolve every unfinished slot
+            # to a structured timeout record.
+            for future, index in sorted(pending.items(), key=lambda entry: entry[1]):
+                future.cancel()
+                yield index, UnitFailure.timeout(units[index].label)
             return
-        workers = min(self._num_workers, num_items)
-        if workers == 1:
-            yield None
-            return
-        executor = make_executor(self.name, workers)
-        try:
-            yield executor
-        finally:
-            # Non-blocking: a fully-collected batch has nothing left to wait
-            # for, and a deadline-expired one must not block here on workers
-            # still grinding through abandoned units.
-            executor.shutdown(wait=False)
-
-    def _recover(self, executor) -> None:
-        """React to a broken executor: make the persistent pool respawn.
-
-        An ephemeral pool needs nothing — its lease shuts it down — but a
-        persistent :class:`WorkerPool` would stay poisoned forever, failing
-        every future batch, unless the corpse is swapped out here.
-        """
-        if self._pool is not None:
-            self._pool.reset(executor)
-
-    def map(self, units: Sequence[ServeUnit]) -> List[Any]:
-        if not units:
-            return []
-        items = self._prepare(units)
-        with self._lease(len(items)) as executor:
-            if executor is None:
-                return [self._run_inline(item) for item in items]
+        for future in done:
+            index = pending.pop(future)
             try:
-                submitted = time.monotonic()
-                futures = [self._submit(executor, item) for item in items]
-                # Collect in submission order: request ordering is part of
-                # the serving contract regardless of which worker finished
-                # first.
-                results = []
-                for future in futures:
-                    results.append(future.result())
-                    UNIT_TURNAROUND_SECONDS.observe(
-                        time.monotonic() - submitted, backend=self.name
-                    )
-                return results
+                outcome = future.result()
             except BrokenExecutor as error:
-                self._recover(executor)
-                raise ServeError(
-                    f"a {self.name} worker died mid-batch "
-                    f"({str(error) or type(error).__name__}); the batch was "
-                    f"lost but the pool respawns for the next one"
-                ) from error
-
-    def map_stream(
-        self, units: Sequence[ServeUnit], deadline: Optional[float] = None
-    ) -> Iterator[Tuple[int, Any]]:
-        if not units:
-            return
-        items = self._prepare(units)
-        labels = [unit.label for unit in units]
-        with self._lease(len(items)) as executor:
-            if executor is None:
-                for index, item in enumerate(items):
-                    if deadline is not None and time.monotonic() >= deadline:
-                        yield index, UnitFailure.timeout(labels[index])
-                    else:
-                        yield index, self._run_inline(item)
-                return
-            pending: Dict[Any, int] = {}
-            submitted: Dict[int, float] = {}
-            try:
-                for index, item in enumerate(items):
-                    submitted[index] = time.monotonic()
-                    pending[self._submit(executor, item)] = index
-            except BrokenExecutor as error:
-                # The pool was already broken (a worker died idle, after a
-                # previous batch): the units never submitted become crash
-                # records below, alongside whatever did get submitted.
-                self._recover(executor)
-                for index in range(len(pending), len(items)):
-                    yield index, UnitFailure.worker_crash(labels[index], error)
-            while pending:
-                budget = None if deadline is None else deadline - time.monotonic()
-                if budget is not None and budget <= 0:
-                    done = set()
-                else:
-                    done, _ = wait(
-                        set(pending), timeout=budget, return_when=FIRST_COMPLETED
+                # A worker died with units in flight. The broken pool fails
+                # *all* pending futures; convert every lost unit to a crash
+                # record, respawn the pool for the next batch, and keep the
+                # stream flowing.
+                pool.reset(executor)
+                yield index, UnitFailure.worker_crash(units[index].label, error)
+                for other, other_index in sorted(
+                    pending.items(), key=lambda entry: entry[1]
+                ):
+                    other.cancel()
+                    yield other_index, UnitFailure.worker_crash(
+                        units[other_index].label, error
                     )
-                if not done:
-                    # Deadline expired: cancel what never started, abandon
-                    # what did (threads cannot be killed), and resolve every
-                    # unfinished slot to a structured timeout record.
-                    for future, index in sorted(
-                        pending.items(), key=lambda entry: entry[1]
-                    ):
-                        future.cancel()
-                        yield index, UnitFailure.timeout(labels[index])
-                    return
-                for future in done:
-                    index = pending.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenExecutor as error:
-                        # A worker died with units in flight. The broken pool
-                        # fails *all* pending futures; convert every lost
-                        # unit to a crash record, respawn the pool for the
-                        # next batch, and keep the stream flowing — a crashed
-                        # worker must never wedge a stream or poison the
-                        # pool.
-                        self._recover(executor)
-                        yield index, UnitFailure.worker_crash(labels[index], error)
-                        for other, other_index in sorted(
-                            pending.items(), key=lambda entry: entry[1]
-                        ):
-                            other.cancel()
-                            yield (
-                                other_index,
-                                UnitFailure.worker_crash(labels[other_index], error),
-                            )
-                        pending.clear()
-                        break
-                    UNIT_TURNAROUND_SECONDS.observe(
-                        time.monotonic() - submitted[index], backend=self.name
-                    )
-                    yield index, outcome
-
-
-class ThreadExecutor(_PoolExecutor):
-    """Thread pool over the server's engine pool (shared-memory serving)."""
-
-    name = SERVE_BACKEND_THREAD
-
-    def _run_inline(self, item: ServeUnit):
-        return item.run_local()
-
-    def _submit(self, executor, item: ServeUnit):
-        # Pool threads inherit neither the submitter's contextvars nor its
-        # clock: capture the request id and the enqueue instant here, then
-        # re-bind/observe when a worker thread actually picks the unit up.
-        request_id = current_request_id()
-        enqueued = time.monotonic()
-
-        def run():
-            QUEUE_WAIT_SECONDS.observe(
-                time.monotonic() - enqueued, backend=SERVE_BACKEND_THREAD
+                pending.clear()
+                break
+            UNIT_TURNAROUND_SECONDS.observe(
+                time.monotonic() - submitted[index], backend=pool.backend
             )
-            with trace(request_id):
-                return item.run_local()
-
-        return executor.submit(run)
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process pool; workers receive :class:`WorkerPayload`, never engines.
-
-    Uses the platform's default start method (like the parallel counters in
-    :mod:`repro.counting.parallel`): ``fork`` on Linux up to Python 3.13,
-    ``forkserver`` from 3.14. Under ``fork``, prefer submitting
-    process-backend batches from a thread-quiet process — combining them
-    with *overlapping* ``submit_async`` batches forks while dispatcher
-    threads run, which CPython 3.12+ warns about. (``spawn``/``forkserver``
-    are not forced here: they re-import ``__main__`` in every worker, which
-    breaks stdin/REPL-driven parents and pays per-worker import time.)
-    """
-
-    name = SERVE_BACKEND_PROCESS
-
-    def _prepare(self, units: Sequence[ServeUnit]) -> Sequence[WorkerPayload]:
-        # Materialize payloads in the parent *before* opening the pool: this
-        # resolves datasets through the parent's engine pool exactly once
-        # and surfaces load errors eagerly rather than from a worker.
-        return [unit.make_payload() for unit in units]
-
-    def _run_inline(self, item: WorkerPayload):
-        return execute_payload(item)
-
-    def _submit(self, executor, item: WorkerPayload):
-        return executor.submit(execute_payload, item)
-
-
-def resolve_serve_executor(backend: Optional[str], workers: int) -> ServeExecutor:
-    """Normalize ``(backend, workers)`` into an ephemeral executor instance.
-
-    ``backend=None`` picks ``"serial"`` for one worker and ``"thread"`` for
-    several; unknown backends and non-positive worker counts raise
-    :class:`SpecError` before any work runs. (Persistent-pool execution is
-    resolved through :meth:`WorkerPool.serve_executor` instead, so an
-    explicit ``workers`` count here is always honored exactly.)
-    """
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers <= 0:
-        raise SpecError(f"workers must be a positive integer, got {workers!r}")
-    if backend is None:
-        backend = SERVE_BACKEND_SERIAL if workers == 1 else SERVE_BACKEND_THREAD
-    if backend == SERVE_BACKEND_SERIAL:
-        return SerialExecutor()
-    if backend == SERVE_BACKEND_THREAD:
-        return ThreadExecutor(workers)
-    if backend == SERVE_BACKEND_PROCESS:
-        return ProcessExecutor(workers)
-    raise SpecError(
-        f"backend must be one of {SERVE_BACKENDS} (or None to choose "
-        f"automatically), got {backend!r}"
-    )
+            yield index, outcome

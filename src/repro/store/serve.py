@@ -11,19 +11,22 @@ requesting slot — and returns the same typed results
 (:class:`CountResult` etc.) the engine does, one per request, in request
 order.
 
-Execution is pluggable (:mod:`repro.store.executors`): the default
-``serial`` backend runs units in the calling thread; ``thread`` overlaps
-units of a batch on a thread pool over the shared engine pool; ``process``
-ships CSR arrays + spec dicts to worker processes for real CPU parallelism,
-with every worker persisting into the same store directory (made safe by
-the store's interprocess write locking). Parallel result *payloads* —
-counts, profiles, comparison rows — are **bit-identical** to serial ones
-for exact and integer-seeded specs; cache-provenance metadata
-(``from_cache``/``cache_tier``) can differ when units of one batch share
-work, because which unit computes first is scheduling-dependent.
-:meth:`EngineServer.submit_async` is the async front door: it dispatches a
-batch to a background thread and returns a :class:`BatchFuture` that is both
-a concurrent future and awaitable, so independent batches overlap.
+Every batch runs through one path. :meth:`EngineServer.submit_stream`
+hands the deduplicated units to :func:`~repro.store.executors.stream_units`
+and yields each outcome as it completes; :meth:`EngineServer.submit` is that
+stream collected into request order. The default ``serial`` backend runs
+units in the calling thread; ``thread`` overlaps units of a batch on a
+thread pool over the shared engine pool; ``process`` ships CSR arrays +
+spec dicts to worker processes for real CPU parallelism, with every worker
+persisting into the same store directory (made safe by the store's
+interprocess write locking). The pool is the server's persistent
+:class:`~repro.store.executors.WorkerPool` when the caller names no worker
+count, and otherwise one opened for the batch alone, no wider than the
+batch. Parallel result *payloads* — counts, profiles, comparison rows — are
+**bit-identical** to serial ones for exact and integer-seeded specs;
+cache-provenance metadata (``from_cache``/``cache_tier``) can differ when
+units of one batch share work, because which unit computes first is
+scheduling-dependent.
 
 >>> from repro.api import CountSpec, ProfileSpec
 >>> from repro.store import ArtifactStore
@@ -34,8 +37,6 @@ a concurrent future and awaitable, so independent batches overlap.
 ...     ServeRequest("email-enron-like", CountSpec()),          # deduplicated
 ...     ServeRequest("contact-primary-like", ProfileSpec(num_random=3, seed=0)),
 ... ], workers=4, backend="process")
->>> future = server.submit_async([("tags-math-like", CountSpec())])
->>> future.result()[0].counts.total()  # doctest: +SKIP
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
@@ -88,13 +88,15 @@ from repro.store.artifacts import ArtifactStore, resolve_store
 from repro.store.executors import (
     FAILURE_TIMEOUT,
     FAILURE_WORKER_CRASH,
+    SERVE_BACKEND_SERIAL,
     ServeUnit,
     UnitFailure,
     WorkerPayload,
     WorkerPool,
     dispatch_spec,
     ensure_servable_spec,
-    resolve_serve_executor,
+    resolve_backend,
+    stream_units,
 )
 from repro.utils.logging import get_logger
 
@@ -104,9 +106,6 @@ from repro.utils.logging import get_logger
 #: snapshot through :meth:`EngineServer.evolve_stream` / ``POST /v1/evolve``.
 ServeSpec = Union[CountSpec, ProfileSpec, CompareSpec, VarianceSpec]
 ServeSource = Union[str, Path, Hypergraph, TemporalHypergraph]
-
-#: Bound on concurrently-dispatched async batches per server.
-DEFAULT_ASYNC_BATCHES = 4
 
 LOGGER = get_logger(__name__)
 
@@ -164,17 +163,16 @@ class ServeRequest:
     spec: ServeSpec
 
 
-def request_from_dict(mapping: Mapping[str, Any]) -> ServeRequest:
-    """Build a :class:`ServeRequest` from its wire-format record.
+def split_request_record(mapping: Any) -> Tuple[str, Dict[str, Any]]:
+    """Split one wire request record into its source and spec mapping.
 
     The record is one JSON object with a ``source`` (dataset name or file
     path) and either a nested ``spec`` object (:func:`repro.api.spec_from_dict`
-    form) or the spec's fields inlined beside ``source``. This is the single
-    request parser shared by the ``serve-batch`` CLI's JSONL files and the
-    HTTP service's ``POST /v1/batch`` bodies, so the two front doors cannot
-    drift in what they accept. Raises :class:`SpecError` on malformed
-    records, unknown spec types/fields and non-servable specs — all before
-    any dataset is touched.
+    form) or the spec's fields inlined beside ``source``. Both request doors
+    split records here — :func:`request_from_dict` (``serve-batch`` files and
+    ``POST /v1/batch``) and ``POST /v1/evolve`` — so a malformed record draws
+    the same :class:`SpecError` from either. Returns a fresh spec dict the
+    caller may extend.
     """
     if not isinstance(mapping, Mapping):
         raise SpecError(
@@ -190,6 +188,23 @@ def request_from_dict(mapping: Mapping[str, Any]) -> ServeRequest:
         spec_mapping = record  # terse form: spec fields beside "source"
     elif record:
         raise SpecError(f'unexpected keys {sorted(record)} next to "spec"')
+    if not isinstance(spec_mapping, Mapping):
+        raise SpecError(
+            f'"spec" must be a JSON object, got {type(spec_mapping).__name__}'
+        )
+    return source, dict(spec_mapping)
+
+
+def request_from_dict(mapping: Mapping[str, Any]) -> ServeRequest:
+    """Build a :class:`ServeRequest` from its wire-format record.
+
+    This is the single request parser shared by the ``serve-batch`` CLI's
+    JSONL files and the HTTP service's ``POST /v1/batch`` bodies, so the two
+    front doors cannot drift in what they accept. Raises :class:`SpecError`
+    on malformed records (:func:`split_request_record`), unknown spec
+    types/fields and non-servable specs — all before any dataset is touched.
+    """
+    source, spec_mapping = split_request_record(mapping)
     spec = spec_from_dict(spec_mapping)
     ensure_servable_spec(spec)
     return ServeRequest(source, spec)
@@ -235,49 +250,6 @@ class ServeStats:
         }
 
 
-class BatchFuture:
-    """Handle to one asynchronously-submitted batch.
-
-    Wraps the dispatcher's :class:`concurrent.futures.Future` and is
-    additionally *awaitable*, so the same handle works from plain threads
-    (``future.result()``) and from ``asyncio`` code (``await future``).
-    Resolves to the batch's ``List[EngineResult]`` in request order, or
-    raises whatever the batch raised.
-    """
-
-    def __init__(self, future: "Future[List[EngineResult]]") -> None:
-        self._future = future
-
-    def result(self, timeout: Optional[float] = None) -> List[EngineResult]:
-        """Block until the batch finishes; its results in request order."""
-        return self._future.result(timeout)
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        """The batch's exception, or ``None`` once it completed cleanly."""
-        return self._future.exception(timeout)
-
-    def done(self) -> bool:
-        """Whether the batch has finished (successfully or not)."""
-        return self._future.done()
-
-    def cancel(self) -> bool:
-        """Try to cancel a batch that has not started executing yet."""
-        return self._future.cancel()
-
-    def add_done_callback(self, callback) -> None:
-        """Invoke *callback* (with this future's inner future) on completion."""
-        self._future.add_done_callback(callback)
-
-    def __await__(self):
-        import asyncio
-
-        return asyncio.wrap_future(self._future).__await__()
-
-    def __repr__(self) -> str:
-        state = "done" if self._future.done() else "pending"
-        return f"BatchFuture({state})"
-
-
 class EngineServer:
     """Shared-store engine pool serving batched count/profile/compare work.
 
@@ -294,8 +266,6 @@ class EngineServer:
     max_engines:
         Bound on the worker-engine pool; least-recently-used engines are
         evicted, their computed artifacts surviving in the shared store.
-    async_batches:
-        Bound on batches dispatched concurrently via :meth:`submit_async`.
     pool:
         An optional persistent :class:`~repro.store.executors.WorkerPool`.
         When given, batches submitted without explicit ``workers``/``backend``
@@ -303,9 +273,10 @@ class EngineServer:
         continuously-serving front-end needs — and :meth:`close` shuts the
         pool down with the server.
 
-    The server is thread-safe: overlapping async batches (and the thread
-    backend's workers) share the engine pool under a lock, and each engine
-    executes one unit at a time so its internal caches never race.
+    The server is thread-safe: overlapping batches (one per HTTP handler
+    thread, and the thread backend's workers) share the engine pool under a
+    lock, and each engine executes one unit at a time so its internal
+    caches never race.
     """
 
     def __init__(
@@ -313,13 +284,10 @@ class EngineServer:
         store: Union[ArtifactStore, bool, None] = True,
         registry: Optional[DatasetRegistry] = None,
         max_engines: int = 8,
-        async_batches: int = DEFAULT_ASYNC_BATCHES,
         pool: Optional[WorkerPool] = None,
     ) -> None:
         if max_engines <= 0:
             raise SpecError(f"max_engines must be positive, got {max_engines}")
-        if async_batches <= 0:
-            raise SpecError(f"async_batches must be positive, got {async_batches}")
         if pool is not None and not isinstance(pool, WorkerPool):
             raise SpecError(
                 f"pool must be a WorkerPool (or None), got {type(pool).__name__}"
@@ -327,12 +295,10 @@ class EngineServer:
         self._store = resolve_store(store)
         self._registry = DEFAULT_REGISTRY if registry is None else registry
         self._max_engines = int(max_engines)
-        self._async_batches = int(async_batches)
         self._worker_pool = pool
         self._engines: "OrderedDict[object, MotifEngine]" = OrderedDict()
         self._engine_locks: Dict[object, threading.Lock] = {}
         self._pool_lock = threading.RLock()
-        self._dispatcher: Optional[ThreadPoolExecutor] = None
         self.stats = ServeStats()
 
     # -------------------------------------------------------------- properties
@@ -353,24 +319,28 @@ class EngineServer:
         return self._worker_pool
 
     # ----------------------------------------------------------------- serving
-    def _resolve_executor(self, workers: Optional[int], backend: Optional[str]):
-        """The executor serving one batch.
+    def _batch_pool(
+        self, workers: Optional[int], backend: Optional[str], num_units: int
+    ) -> Optional[WorkerPool]:
+        """Validate a batch's ``(workers, backend)``; the pool that runs it.
 
         ``workers=None`` means "the server's choice": the persistent pool
         when one is configured (and *backend* is omitted or matches it),
-        serial execution otherwise. An explicit ``workers`` count always
-        runs on a per-batch ephemeral pool of exactly that width — callers
-        capping concurrency must get the cap they asked for, not the
-        persistent pool's.
+        serial execution (``None``) otherwise. An explicit ``workers`` count
+        is a cap the caller must get, not the persistent pool's width: it
+        gets a pool for this batch alone, no wider than the batch, which the
+        batch closes when it ends. A width of one runs serially, on the
+        pooled engines.
         """
-        if workers is None:
-            if self._worker_pool is not None and backend in (
-                None,
-                self._worker_pool.backend,
-            ):
-                return self._worker_pool.serve_executor()
-            workers = 1
-        return resolve_serve_executor(backend, workers)
+        shared = self._worker_pool
+        if workers is None and shared is not None and backend in (None, shared.backend):
+            return shared
+        workers = 1 if workers is None else workers
+        backend = resolve_backend(backend, workers)
+        width = min(workers, num_units)
+        if backend == SERVE_BACKEND_SERIAL or width <= 1:
+            return None
+        return WorkerPool(backend, width)
 
     def _normalize_batch(
         self,
@@ -422,8 +392,10 @@ class EngineServer:
     ) -> List[EngineResult]:
         """Serve a batch, one typed result per request, in request order.
 
+        This is :meth:`submit_stream` collected into request order: the same
+        dedup, backends and validation, and the first failure raises.
         Identical ``(dataset, spec)`` pairs are computed once per batch;
-        duplicate slots receive a defensive copy of the first result. Plain
+        every slot receives its own defensive copy of the result. Plain
         ``(source, spec)`` tuples are accepted alongside
         :class:`ServeRequest` objects.
 
@@ -432,26 +404,16 @@ class EngineServer:
         workers:
             How many units of the deduplicated batch may run concurrently.
             ``None`` (default) runs on the server's persistent pool when one
-            is configured, serially otherwise; an explicit count runs on an
-            ephemeral per-batch pool of exactly that width.
+            is configured, serially otherwise; an explicit count opens a
+            pool for this batch alone, no wider than the batch.
         backend:
             ``"serial"`` (default for one worker), ``"thread"`` (default for
             several) or ``"process"`` — see :mod:`repro.store.executors`.
             Results are bit-identical across backends for exact and
             integer-seeded specs.
         """
-        executor = self._resolve_executor(workers, backend)
-        normalized, keys, unique = self._normalize_batch(requests)
-        self._begin_batch(len(normalized), len(unique))
-        try:
-            units = [self._make_unit(request) for request in unique.values()]
-            outcomes = executor.map(units)
-        finally:
-            self._end_batch()
-        for outcome in outcomes:
-            _observe_outcome(outcome)
-        computed = dict(zip(unique.keys(), outcomes))
-        return [_fan_out(computed[key]) for key in keys]
+        outcomes = dict(self.submit_stream(requests, workers=workers, backend=backend))
+        return [outcomes[index] for index in range(len(outcomes))]
 
     def submit_stream(
         self,
@@ -486,8 +448,10 @@ class EngineServer:
         transient, so they are marked ``retryable`` for clients; without
         ``capture_errors`` they raise :class:`~repro.exceptions.ServeError`
         instead (the stream has no other way to report a unit it lost).
+
+        Nothing is validated or run until the first outcome is pulled; a
+        stream abandoned part-way closes its per-batch pool.
         """
-        executor = self._resolve_executor(workers, backend)
         if timeout is not None and timeout <= 0:
             raise SpecError(f"timeout must be positive or None, got {timeout!r}")
         normalized, keys, unique = self._normalize_batch(requests)
@@ -500,9 +464,10 @@ class EngineServer:
             for request in unique.values()
         ]
         deadline = None if timeout is None else time.monotonic() + timeout
+        pool = self._batch_pool(workers, backend, len(units))
         self._begin_batch(len(normalized), len(unique))
         try:
-            for unit_index, outcome in executor.map_stream(units, deadline=deadline):
+            for unit_index, outcome in stream_units(units, pool, deadline):
                 if isinstance(outcome, UnitFailure):
                     with self._pool_lock:
                         self.stats.unit_failures += 1
@@ -520,8 +485,8 @@ class EngineServer:
                     )
                     if not capture_errors:
                         # Deadline/crash records exist even without capture
-                        # mode (the executor cannot raise them usefully from
-                        # a stream); surface them as the batch's failure.
+                        # mode (the loop cannot raise them usefully from a
+                        # stream); surface them as the batch's failure.
                         raise ServeError(
                             f"unit {units[unit_index].label} was lost: "
                             f"[{outcome.error_type}] {outcome.message}"
@@ -534,43 +499,11 @@ class EngineServer:
                         yield slot, _fan_out(outcome)
         finally:
             self._end_batch()
-
-    def submit_async(
-        self,
-        requests: Iterable[Union[ServeRequest, Tuple[ServeSource, ServeSpec]]],
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> BatchFuture:
-        """Dispatch a batch without blocking; independent batches overlap.
-
-        The request iterable is snapshotted eagerly (so generators are safe)
-        and the batch runs on a background dispatcher thread with exactly
-        the :meth:`submit` semantics — same dedup, ordering and backends.
-        Returns a :class:`BatchFuture` that is also awaitable from asyncio.
-
-        For *overlapping* async batches prefer the ``thread`` backend: the
-        ``process`` backend forks from this (now multi-threaded) process,
-        which is safe only up to the usual fork-with-threads caveats on
-        Linux Pythons before 3.14 (see
-        :class:`~repro.store.executors.ProcessExecutor`).
-        """
-        snapshot = [
-            ServeRequest(*request) if isinstance(request, tuple) else request
-            for request in requests
-        ]
-        # Validate executor parameters in the caller, not the dispatcher
-        # thread, so bad arguments raise here and now.
-        self._resolve_executor(workers, backend)
-        with self._pool_lock:
-            if self._dispatcher is None:
-                self._dispatcher = ThreadPoolExecutor(
-                    max_workers=self._async_batches,
-                    thread_name_prefix="repro-serve",
-                )
-            future = self._dispatcher.submit(
-                self.submit, snapshot, workers=workers, backend=backend
-            )
-        return BatchFuture(future)
+            if pool is not None and pool is not self._worker_pool:
+                # Without waiting: a deadline-expired or abandoned batch
+                # must not block on workers still grinding through units
+                # nobody will read.
+                pool.close(wait=False)
 
     def count(
         self,
@@ -634,12 +567,7 @@ class EngineServer:
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the async dispatcher (waiting for in-flight batches)
-        and the persistent worker pool, when either exists."""
-        with self._pool_lock:
-            dispatcher, self._dispatcher = self._dispatcher, None
-        if dispatcher is not None:
-            dispatcher.shutdown(wait=True)
+        """Shut down the persistent worker pool, when there is one."""
         if self._worker_pool is not None:
             self._worker_pool.close()
 

@@ -119,12 +119,16 @@ from repro.store import faults
 from repro.store.artifacts import ArtifactStore
 from repro.store.executors import (
     SERVE_BACKEND_SERIAL,
-    SERVE_BACKEND_THREAD,
-    SERVE_BACKENDS,
     UnitFailure,
     WorkerPool,
+    resolve_backend,
 )
-from repro.store.serve import EngineServer, ServeRequest, request_from_dict
+from repro.store.serve import (
+    EngineServer,
+    ServeRequest,
+    request_from_dict,
+    split_request_record,
+)
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("repro.store.server")
@@ -387,13 +391,12 @@ class MotifService:
     def parse_evolve(self, body: bytes) -> "tuple[str, EvolveSpec]":
         """Validate a ``POST /v1/evolve`` body into ``(source, spec)``.
 
-        The body is one JSON object with a ``source`` (dataset name or file
-        path) and either a nested ``spec`` object (``EvolveSpec`` wire form;
-        ``"type"`` defaults to ``"evolve"`` here) or the spec's fields
-        inlined beside ``source``. Raises :class:`RequestRejected` (4xx) on
-        malformed bodies, unknown/incompatible ``spec_version`` tags,
-        unknown fields and invalid parameter combinations — all before any
-        dataset is touched.
+        The body is one request record, split exactly as ``/v1/batch``
+        splits its records (:func:`~repro.store.serve.split_request_record`);
+        the spec's ``"type"`` defaults to ``"evolve"`` here. Raises
+        :class:`RequestRejected` (4xx) on malformed bodies,
+        unknown/incompatible ``spec_version`` tags, unknown fields and
+        invalid parameter combinations — all before any dataset is touched.
         """
         if len(body) > MAX_BODY_BYTES:
             raise RequestRejected(
@@ -405,30 +408,9 @@ class MotifService:
             raise RequestRejected(
                 400, "MalformedBody", f"invalid JSON body: {error}"
             ) from error
-        if not isinstance(document, dict):
-            raise RequestRejected(
-                400,
-                "MalformedBody",
-                '"/v1/evolve" takes one JSON object with "source" and "spec"',
-            )
-        record = dict(document)
-        source = record.pop("source", None)
-        if not isinstance(source, str) or not source:
-            raise RequestRejected(400, "SpecError", 'missing or invalid "source"')
-        spec_mapping = record.pop("spec", None)
-        if spec_mapping is None:
-            spec_mapping = record  # terse form: spec fields beside "source"
-        elif record:
-            raise RequestRejected(
-                400,
-                "SpecError",
-                f'unexpected keys {sorted(record)} next to "spec"',
-            )
-        if not isinstance(spec_mapping, dict):
-            raise RequestRejected(400, "SpecError", '"spec" must be a JSON object')
-        spec_mapping = dict(spec_mapping)
-        spec_mapping.setdefault("type", "evolve")
         try:
+            source, spec_mapping = split_request_record(document)
+            spec_mapping.setdefault("type", "evolve")
             spec = spec_from_dict(spec_mapping)
         except ReproError as error:
             raise RequestRejected(400, type(error).__name__, str(error)) from error
@@ -646,7 +628,7 @@ class MotifService:
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Close the engine server (dispatcher and worker pool included)."""
+        """Close the engine server (worker pool included)."""
         self._server.close()
 
 
@@ -717,9 +699,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                         self._send_json(error.status, error.payload, error=error)
                         return
                     if self.path == "/v1/evolve":
-                        self._stream_evolve(service, source, evolve_spec)
+                        records = service.stream_evolve(
+                            source, evolve_spec, request_id=self.request_id
+                        )
                     else:
-                        self._stream_batch(service, requests)
+                        records = service.stream(requests, request_id=self.request_id)
+                    self._stream_ndjson(records)
             except RequestRejected as error:
                 # Admission refused the batch before its body was read:
                 # answer 429 + Retry-After and close (the unread body is
@@ -790,9 +775,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
         HTTP_REQUESTS_TOTAL.inc(route=_route_of(self.path), status=str(status))
 
-    def _stream_batch(
-        self, service: MotifService, requests: List[ServeRequest]
-    ) -> None:
+    def _stream_ndjson(self, records: Iterator[Dict[str, Any]]) -> None:
+        """Answer 200 with *records* as chunked NDJSON, one flush per record.
+
+        The one writer behind ``/v1/batch`` and ``/v1/evolve``. A failure the
+        record stream could not turn into a wire record itself (e.g. the
+        worker pool closed by a drain timeout) ends the stream with an
+        explicit ``aborted`` record rather than silent truncation.
+        """
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
@@ -800,64 +790,16 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         stream_started = time.perf_counter()
         try:
-            for record in service.stream(requests, request_id=self.request_id):
+            for record in records:
                 self._write_chunk(json.dumps(record) + "\n")
             self._write_last_chunk()
-            STAGE_SECONDS.observe(
-                time.perf_counter() - stream_started, stage="stream"
-            )
-            HTTP_REQUESTS_TOTAL.inc(route="/v1/batch", status="200")
+            STAGE_SECONDS.observe(time.perf_counter() - stream_started, stage="stream")
+            HTTP_REQUESTS_TOTAL.inc(route=self.path, status="200")
         except (BrokenPipeError, ConnectionResetError):
             # The client went away mid-stream; nothing left to tell it.
             LOGGER.debug("client disconnected mid-stream")
         except Exception as error:
-            # A failure the capture layer could not isolate (e.g. the worker
-            # pool closed by a drain timeout). Terminate the stream with an
-            # explicit abort record rather than silent truncation.
-            LOGGER.exception("batch stream aborted")
-            try:
-                self._write_chunk(
-                    json.dumps(
-                        {
-                            "status": "aborted",
-                            "error": {
-                                "type": type(error).__name__,
-                                "message": str(error),
-                                "retryable": False,
-                            },
-                        }
-                    )
-                    + "\n"
-                )
-                self._write_last_chunk()
-            except OSError:
-                pass
-
-    def _stream_evolve(
-        self, service: MotifService, source: str, spec: EvolveSpec
-    ) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header(REQUEST_ID_HEADER, self.request_id)
-        self.end_headers()
-        stream_started = time.perf_counter()
-        try:
-            for record in service.stream_evolve(
-                source, spec, request_id=self.request_id
-            ):
-                self._write_chunk(json.dumps(record) + "\n")
-            self._write_last_chunk()
-            STAGE_SECONDS.observe(
-                time.perf_counter() - stream_started, stage="stream"
-            )
-            HTTP_REQUESTS_TOTAL.inc(route="/v1/evolve", status="200")
-        except (BrokenPipeError, ConnectionResetError):
-            LOGGER.debug("client disconnected mid-stream")
-        except Exception as error:
-            # stream_evolve converts chain failures to wire records itself,
-            # so reaching here means the transport layer broke mid-write.
-            LOGGER.exception("evolve stream aborted")
+            LOGGER.exception("%s stream aborted", self.path)
             try:
                 self._write_chunk(
                     json.dumps(
@@ -950,15 +892,8 @@ def build_server(
     ``UnitTimeout`` records beyond it; ``None`` disables the deadline) —
     see the module docstring's overload and failure behavior.
     """
-    if backend is not None and backend not in SERVE_BACKENDS:
-        raise SpecError(
-            f"backend must be one of {SERVE_BACKENDS} (or None), got {backend!r}"
-        )
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers <= 0:
-        raise SpecError(f"workers must be a positive integer, got {workers!r}")
+    backend = resolve_backend(backend, workers)
     pool: Optional[WorkerPool] = None
-    if backend is None:
-        backend = SERVE_BACKEND_SERIAL if workers == 1 else SERVE_BACKEND_THREAD
     if backend != SERVE_BACKEND_SERIAL:
         pool = WorkerPool(backend, workers)
     engine_server = EngineServer(

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.generators import generate_uniform_random
 from repro.hypergraph import io as hio
+from repro.store import ArtifactStore, faults
 
 
 @pytest.fixture
@@ -422,34 +424,40 @@ class TestServeBatch:
 
 
 class TestParallelWarm:
+    PROCESS_WORKERS = ("--workers", "2", "--backend", "process")
+
+    @staticmethod
+    def _warm(store, hypergraph_file, *options):
+        argv = ["cache", "--store", store, "warm", str(hypergraph_file)]
+        return main(argv + ["--profile", "2", *options])
+
     def test_cache_warm_with_process_workers_then_serial_hit(
         self, hypergraph_file, tmp_path, capsys
     ):
         store = str(tmp_path / "store")
-        assert (
-            main(
-                [
-                    "cache",
-                    "--store",
-                    store,
-                    "warm",
-                    str(hypergraph_file),
-                    "--profile",
-                    "2",
-                    "--workers",
-                    "2",
-                    "--backend",
-                    "process",
-                ]
-            )
-            == 0
-        )
-        assert "count computed, profile computed" in capsys.readouterr().out
+        assert self._warm(store, hypergraph_file, *self.PROCESS_WORKERS) == 0
+        # The store starts empty, so the count comes from this batch: its own
+        # unit computes it, or the profile unit, which counts too, stores it
+        # first and the count unit hits. Which unit wins is scheduling.
+        out = capsys.readouterr().out
+        assert re.search(r"count (computed|hit), profile computed", out)
+        kinds = {entry.kind for entry in ArtifactStore(store).entries()}
+        assert kinds == {"projection", "count", "null-counts", "profile"}
         # The worker-written artifacts serve a fresh serial invocation.
-        assert (
-            main(
-                ["cache", "--store", store, "warm", str(hypergraph_file), "--profile", "2"]
-            )
-            == 0
-        )
+        assert self._warm(store, hypergraph_file) == 0
         assert "count hit, profile hit" in capsys.readouterr().out
+
+    def test_cache_warm_count_hits_the_profile_units_count(
+        self, hypergraph_file, tmp_path, capsys, monkeypatch
+    ):
+        # Hold the count unit back (env-armed, so forked workers see it) and
+        # the profile unit's own count always lands in the store first.
+        monkeypatch.setenv(
+            faults.ENV_FAULTS,
+            faults.encode_env(
+                {"serve.unit": {"mode": "sleep", "seconds": 1.0, "key": ":CountSpec"}}
+            ),
+        )
+        store = str(tmp_path / "store")
+        assert self._warm(store, hypergraph_file, *self.PROCESS_WORKERS) == 0
+        assert "count hit, profile computed" in capsys.readouterr().out

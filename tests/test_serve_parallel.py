@@ -1,32 +1,41 @@
-"""Parity and behavior tests for the parallel + async serving executor.
+"""Parity and behavior tests for the serving layer's one batch path.
 
 The headline guarantee of the serving layer: ``submit()`` with the thread or
 process backend returns **bit-identical** results — counts, profiles,
 comparison rows — and identical ordering vs. the serial backend, for exact
-and integer-seeded specs. The suite also pins the async front door
-(:meth:`EngineServer.submit_async`), executor validation, the LRU engine
-pool's evict-then-rebuild-from-disk path, and per-batch dedup accounting.
+and integer-seeded specs. Every batch runs through one loop
+(:func:`~repro.store.executors.stream_units`) and ``submit()`` is
+``submit_stream()`` collected into request order. The suite also pins the
+``(backend, workers)`` validation shared with ``build_server``, the
+lifetime of the pool a batch with an explicit worker count opens for
+itself, the LRU engine pool's evict-then-rebuild-from-disk path, and
+per-batch dedup accounting.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.api import CompareSpec, CountSpec, PredictSpec, ProfileSpec
 from repro.api.results import CompareResult, CountResult, ProfileResult
-from repro.exceptions import SpecError
+from repro.exceptions import ServeError, SpecError
 from repro.generators import generate_uniform_random
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, faults
+from repro.store import serve as serve_module
 from repro.store.executors import (
+    FAILURE_WORKER_CRASH,
     SERVE_BACKENDS,
+    WorkerPool,
     hypergraph_from_csr_rows,
-    resolve_serve_executor,
+    resolve_backend,
+    stream_units,
 )
-from repro.store.serve import BatchFuture, EngineServer, ServeRequest
+from repro.store.serve import EngineServer, ServeRequest
+from repro.store.server import build_server
 
 PARALLEL_BACKENDS = ("thread", "process")
 
@@ -190,10 +199,28 @@ class TestExecutorValidation:
             EngineServer(store=False).submit([], workers=workers)
 
     def test_backend_defaults(self):
-        assert resolve_serve_executor(None, 1).name == "serial"
-        assert resolve_serve_executor(None, 4).name == "thread"
+        assert resolve_backend(None, 1) == "serial"
+        assert resolve_backend(None, 4) == "thread"
         for backend in SERVE_BACKENDS:
-            assert resolve_serve_executor(backend, 2).name == backend
+            assert resolve_backend(backend, 2) == backend
+
+    @pytest.mark.parametrize(
+        "backend, workers",
+        [
+            ("gpu", 1),
+            ("gpu", 0),
+            (None, 0),
+            ("thread", -1),
+            ("process", 1.5),
+            ("serial", True),
+        ],
+    )
+    def test_build_server_and_submit_reject_the_same_pairs(self, backend, workers):
+        with pytest.raises(SpecError) as from_submit:
+            EngineServer(store=False).submit([], workers=workers, backend=backend)
+        with pytest.raises(SpecError) as from_build:
+            build_server(port=0, store=False, workers=workers, backend=backend)
+        assert str(from_build.value) == str(from_submit.value)
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_predict_spec_is_rejected_before_workers_run(self, backend):
@@ -207,70 +234,6 @@ class TestExecutorValidation:
 
     def test_empty_batch(self):
         assert EngineServer(store=False).submit([], workers=4, backend="thread") == []
-
-
-class TestAsyncServing:
-    def test_submit_async_matches_sync(self, datasets):
-        with EngineServer(store=False) as server:
-            requests = [ServeRequest(datasets[0], CountSpec())]
-            future = server.submit_async(requests)
-            assert isinstance(future, BatchFuture)
-            expected = EngineServer(store=False).submit(requests)
-            _assert_results_bit_identical(expected, future.result(timeout=60))
-            assert future.done()
-            assert future.exception() is None
-
-    def test_overlapping_batches(self, tmp_path, datasets):
-        with EngineServer(store=ArtifactStore(tmp_path / "s")) as server:
-            futures = [
-                server.submit_async(
-                    [ServeRequest(dataset, CountSpec())], workers=2, backend="thread"
-                )
-                for dataset in datasets
-            ]
-            results = [future.result(timeout=60) for future in futures]
-        for dataset, (result,) in zip(datasets, results):
-            assert result.dataset == dataset.name
-
-    def test_future_is_awaitable(self, datasets):
-        async def go(server):
-            return await server.submit_async(
-                [ServeRequest(datasets[0], CountSpec())]
-            )
-
-        with EngineServer(store=False) as server:
-            results = asyncio.run(go(server))
-        expected = EngineServer(store=False).submit(
-            [ServeRequest(datasets[0], CountSpec())]
-        )
-        _assert_results_bit_identical(expected, results)
-
-    def test_async_batch_failures_surface_in_the_future(self):
-        with EngineServer(store=False) as server:
-            future = server.submit_async(
-                [ServeRequest(_make_hypergraph(), PredictSpec())]
-            )
-            assert isinstance(future.exception(timeout=60), SpecError)
-            with pytest.raises(SpecError):
-                future.result(timeout=60)
-
-    def test_invalid_executor_arguments_raise_in_the_caller(self):
-        with EngineServer(store=False) as server:
-            with pytest.raises(SpecError):
-                server.submit_async([], backend="gpu")
-
-    def test_close_is_idempotent(self):
-        server = EngineServer(store=False)
-        server.submit_async([])
-        server.close()
-        server.close()
-
-    def test_generator_requests_are_snapshotted(self, datasets):
-        with EngineServer(store=False) as server:
-            future = server.submit_async(
-                ServeRequest(dataset, CountSpec()) for dataset in datasets
-            )
-            assert len(future.result(timeout=60)) == len(datasets)
 
 
 class TestEnginePool:
@@ -331,7 +294,7 @@ class TestWorkerPool:
     """Persistent pools: worker reuse across batches, lifecycle, validation."""
 
     def test_thread_workers_are_reused_across_batches(self):
-        from repro.store.executors import ServeUnit, WorkerPool
+        from repro.store.executors import ServeUnit
 
         def barrier_batch():
             # Both workers must participate in the batch (the barrier only
@@ -348,10 +311,9 @@ class TestWorkerPool:
             ]
 
         with WorkerPool("thread", 2) as pool:
-            executor = pool.serve_executor()
-            first = set(executor.map(barrier_batch()))
+            first = {ident for _, ident in stream_units(barrier_batch(), pool)}
             underlying = pool.executor()
-            second = set(executor.map(barrier_batch()))
+            second = {ident for _, ident in stream_units(barrier_batch(), pool)}
             # Same concurrent.futures pool object, same two worker threads.
             assert pool.executor() is underlying
             assert len(first) == 2
@@ -359,8 +321,6 @@ class TestWorkerPool:
         assert pool.closed
 
     def test_closed_pool_rejects_work(self):
-        from repro.store.executors import WorkerPool
-
         pool = WorkerPool("thread", 2)
         pool.close()
         with pytest.raises(SpecError, match="closed"):
@@ -368,8 +328,6 @@ class TestWorkerPool:
         pool.close()  # idempotent
 
     def test_pool_validation(self):
-        from repro.store.executors import WorkerPool
-
         with pytest.raises(SpecError, match="serial"):
             WorkerPool("serial", 2)
         with pytest.raises(SpecError, match="backend"):
@@ -378,8 +336,6 @@ class TestWorkerPool:
             WorkerPool("thread", 0)
 
     def test_engine_server_uses_and_closes_its_pool(self, datasets):
-        from repro.store.executors import WorkerPool
-
         pool = WorkerPool("thread", 2)
         server = EngineServer(store=False, pool=pool)
         assert server.worker_pool is pool
@@ -394,10 +350,8 @@ class TestWorkerPool:
 
     def test_explicit_workers_bypass_the_pool(self, datasets):
         # An explicit workers count is a concurrency cap the caller must
-        # actually get, so it runs on an ephemeral pool of that exact width
-        # instead of the persistent pool's.
-        from repro.store.executors import WorkerPool
-
+        # actually get, so it runs on a pool of its own, no wider than the
+        # batch (one unit here: serially), never on the persistent pool.
         with EngineServer(store=False, pool=WorkerPool("thread", 4)) as server:
             requests = [ServeRequest(datasets[0], CountSpec())]
             explicit = server.submit(requests, workers=2, backend="thread")
@@ -407,8 +361,6 @@ class TestWorkerPool:
             _assert_results_bit_identical(explicit, pooled)
 
     def test_process_pool_reuses_worker_processes(self, tmp_path, datasets):
-        from repro.store.executors import WorkerPool
-
         store = ArtifactStore(tmp_path / "store")
         with EngineServer(store=store, pool=WorkerPool("process", 2)) as server:
             requests = [
@@ -495,3 +447,108 @@ class TestSubmitStream:
             with pytest.raises(StopIteration):
                 next(stream)
             assert server.stats.in_flight == 0
+
+
+@pytest.fixture
+def batch_pools(monkeypatch):
+    """Every pool a batch opens for itself, recorded in opening order."""
+    opened = []
+
+    class RecordingPool(WorkerPool):
+        def __init__(self, backend, workers):
+            super().__init__(backend, workers)
+            self.executors = []
+            opened.append(self)
+
+        def executor(self):
+            self.executors.append(super().executor())
+            return self.executors[-1]
+
+    monkeypatch.setattr(serve_module, "WorkerPool", RecordingPool)
+    return opened
+
+
+class TestBatchPools:
+    """A batch with an explicit worker count owns its pool for its lifetime."""
+
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    @pytest.mark.parametrize("ending", ("complete", "failing", "abandoned"))
+    def test_batch_pool_is_closed_however_the_batch_ends(
+        self, monkeypatch, batch_pools, datasets, backend, ending
+    ):
+        requests = [ServeRequest(dataset, CountSpec()) for dataset in datasets]
+        server = EngineServer(store=False)
+        stream = server.submit_stream(requests, workers=8, backend=backend)
+        if ending == "complete":
+            assert len(dict(stream)) == len(requests)
+        elif ending == "failing":
+            # Env-armed, so it fires in forked process workers as well.
+            monkeypatch.setenv(
+                faults.ENV_FAULTS,
+                faults.encode_env({"serve.unit": {"mode": "error"}}),
+            )
+            with pytest.raises(faults.InjectedFault):
+                list(stream)
+        else:
+            next(stream)
+            stream.close()
+        (pool,) = batch_pools
+        assert pool.backend == backend
+        assert pool.workers == len(requests)  # no wider than the batch
+        assert pool.executors  # the batch ran on it ...
+        assert pool.closed and not pool.started  # ... and released it
+        assert server.stats.in_flight == 0
+
+    def test_overlapping_batches(self, tmp_path, batch_pools, datasets):
+        # One batch per caller thread, as the HTTP service runs them: each
+        # opens and closes its own pool over the one shared engine pool.
+        def batch(dataset):
+            aplus = CountSpec(algorithm="mochy-a+", num_samples=40, seed=0)
+            return [ServeRequest(dataset, CountSpec()), ServeRequest(dataset, aplus)]
+
+        with EngineServer(store=ArtifactStore(tmp_path / "s")) as server:
+            with ThreadPoolExecutor(len(datasets)) as callers:
+                futures = [
+                    callers.submit(
+                        server.submit, batch(dataset), workers=2, backend="thread"
+                    )
+                    for dataset in datasets
+                ]
+                results = [future.result(timeout=60) for future in futures]
+        for dataset, result in zip(datasets, results):
+            expected = EngineServer(store=False).submit(batch(dataset))
+            _assert_results_bit_identical(expected, result)
+        assert len(batch_pools) == len(datasets)
+        assert all(pool.closed for pool in batch_pools)
+
+    def test_one_unit_process_batch_runs_on_the_pooled_engine(
+        self, batch_pools, datasets
+    ):
+        server = EngineServer(store=False)
+        request = ServeRequest(datasets[0], CountSpec())
+        (result,) = server.submit([request], workers=4, backend="process")
+        (expected,) = EngineServer(store=False).submit([request])
+        _assert_results_bit_identical([expected], [result])
+        assert batch_pools == []
+        assert server.engine_for(datasets[0]).num_projection_builds == 1
+
+    def test_submit_raises_serve_error_when_a_worker_crashes(
+        self, monkeypatch, tmp_path, datasets
+    ):
+        monkeypatch.setenv(
+            faults.ENV_FAULTS,
+            faults.encode_env(
+                {
+                    "worker.unit": {
+                        "mode": "crash",
+                        "once_path": str(tmp_path / "crash-latch"),
+                    }
+                }
+            ),
+        )
+        server = EngineServer(store=False)
+        requests = [ServeRequest(dataset, CountSpec()) for dataset in datasets]
+        with pytest.raises(ServeError, match=FAILURE_WORKER_CRASH):
+            server.submit(requests, workers=2, backend="process")
+        assert server.stats.worker_crashes >= 1
+        assert server.stats.in_flight == 0

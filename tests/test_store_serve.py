@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from repro.api.results import CompareResult, CountResult, ProfileResult
 from repro.exceptions import SpecError
 from repro.generators import generate_uniform_random
 from repro.store import ArtifactStore
-from repro.store.serve import EngineServer, ServeRequest
+from repro.store.serve import EngineServer, ServeRequest, request_from_dict
+from repro.store.server import MotifService, RequestRejected
 
 
 def _make_hypergraph(seed: int = 0):
@@ -146,3 +149,38 @@ class TestPoolAndStore:
         hio.write_plain(hypergraph, path)
         result = server.count([str(path)])[0]
         assert result.counts.total() >= 0.0
+
+
+class TestRequestRecords:
+    """``/v1/batch`` (and ``serve-batch``) and ``/v1/evolve`` split alike."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            [1],
+            {"spec": {"type": "count"}},
+            {"source": "", "spec": {}},
+            {"source": 7},
+            {"source": "x", "spec": {}, "seed": 0},
+            {"source": "x", "spec": [1]},
+            {"source": "x", "spec": "count"},
+        ],
+        ids=[
+            "not-an-object",
+            "no-source",
+            "empty-source",
+            "non-string-source",
+            "keys-beside-spec",
+            "list-spec",
+            "string-spec",
+        ],
+    )
+    def test_both_doors_reject_a_malformed_record_alike(self, record):
+        with pytest.raises(SpecError) as batch_door:
+            request_from_dict(record)
+        service = MotifService(EngineServer(store=False))
+        with pytest.raises(RequestRejected) as evolve_door:
+            service.parse_evolve(json.dumps(record).encode("utf-8"))
+        assert evolve_door.value.status == 400
+        assert evolve_door.value.error_type == type(batch_door.value).__name__
+        assert str(evolve_door.value) == str(batch_door.value)
