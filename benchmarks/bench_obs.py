@@ -1,9 +1,9 @@
 """Observability overhead benchmark: instrumented warm path vs. metrics off.
 
 The :mod:`repro.obs` registry instruments the hottest serving path — an
-:class:`ArtifactStore` warm get resolving an artifact through the LSM disk
-tier (``store.get`` outcome counters + per-shard ``LSM_GET_SECONDS``
-histogram observations). Every mutator early-outs on ``registry.enabled``,
+:class:`ArtifactStore` warm get resolving an artifact through the disk tier
+(``store.get`` outcome counters + ``LSM_GET_SECONDS`` histogram
+observations). Every mutator early-outs on ``registry.enabled``,
 so disabling metrics must leave the warm path untouched and enabling them
 should cost single-digit microseconds against a disk-bound get.
 
@@ -37,7 +37,7 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.store import ArtifactStore
 
-#: Artifacts resident in the store (spread over the LSM shard space).
+#: Artifacts resident in the store (spread over the shard directories).
 NUM_ARTIFACTS = 64
 
 #: Floats in the projection-like payload array (~50 KB uncompressed).

@@ -277,7 +277,7 @@ class MotifEngine:
         """Drop the cached projection and memoized results.
 
         Only this engine's private caches are cleared; an attached artifact
-        store keeps its entries (use :meth:`ArtifactStore.gc` to compact it).
+        store keeps its entries (use :meth:`ArtifactStore.gc` to reclaim it).
         """
         self._projection = None
         self._count_cache.clear()
@@ -933,19 +933,25 @@ class MotifEngine:
     ) -> Optional[Tuple[Any, Dict[str, Any], str]]:
         """``(artifact, meta, tier)`` from the attached store, or ``None``.
 
-        ``None`` means no store, a miss, or a payload that *decode* rejects
-        (a bad payload is a miss; the caller recomputes). The key is
-        *fingerprint* — a string, or a callable so that it is only computed
-        when a store is attached — defaulting to the static fingerprint.
+        ``None`` means no store, a miss, or a payload that *decode* rejects.
+        A rejected payload is discarded from the store, since puts never
+        rewrite an entry; the caller recomputes and stores a fresh one. The
+        key is *fingerprint* — a string, or a callable so that it is only
+        computed when a store is attached — defaulting to the static
+        fingerprint.
         """
         if self._store is None:
             return None
-        hit = self._store.get(kind, self._store_key(fingerprint), params)
+        key = self._store_key(fingerprint)
+        hit = self._store.get(kind, key, params)
         if hit is None:
             return None
         arrays, meta, tier = hit
         artifact = decode(arrays, meta)
-        return None if artifact is None else (artifact, meta, tier)
+        if artifact is None:
+            self._store.discard(kind, key, params)
+            return None
+        return artifact, meta, tier
 
     def _save(
         self,

@@ -303,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     cache_ls.add_argument(
         "--json",
         action="store_true",
-        help="emit a machine-readable listing (shard, level, size, age, params)",
+        help="emit a machine-readable listing (shard, size, age, params)",
     )
     cache_gc = cache_sub.add_parser(
         "gc",
-        help="compact the store: fold shard logs, drop stale/corrupt/evicted entries",
+        help="reclaim the store: drop stale/corrupt/evicted entries and old temp files",
     )
     _add_policy_arguments(cache_gc, prefix="")
     warm = cache_sub.add_parser(
@@ -708,7 +708,6 @@ def _run_cache_ls(store: ArtifactStore, as_json: bool = False) -> None:
                 "dataset": entry.dataset,
                 "fingerprint": entry.fingerprint,
                 "shard": entry.shard,
-                "level": entry.level,
                 "size_bytes": entry.payload_bytes,
                 "age_seconds": max(0.0, now - entry.created),
                 "created": entry.created,
@@ -737,13 +736,13 @@ def _run_cache_ls(store: ArtifactStore, as_json: bool = False) -> None:
         return
     print(f"# store: {store.directory}")
     if store.disk_stale:
-        print("# WARNING: manifest format version mismatch; run `cache gc` to compact")
+        print("# WARNING: manifest format version mismatch; run `cache gc` to reset")
     if not entries:
         print("(no artifacts)")
         return
     print(
         f"{'kind':<12} {'dataset':<24} {'fingerprint':<14} {'shard':<6} "
-        f"{'level':<6} {'size':>10}  params"
+        f"{'size':>10}  params"
     )
     total = 0
     for entry in entries:
@@ -755,7 +754,7 @@ def _run_cache_ls(store: ArtifactStore, as_json: bool = False) -> None:
         )
         print(
             f"{entry.kind:<12} {(entry.dataset or '-'):<24.24} "
-            f"{entry.fingerprint[:12]:<14} {entry.shard:<6} {entry.level:<6} "
+            f"{entry.fingerprint[:12]:<14} {entry.shard:<6} "
             f"{_format_bytes(entry.payload_bytes):>10}  {params or '-'}"
         )
     print(f"total: {len(entries)} artifacts, {_format_bytes(total)}")
@@ -763,24 +762,15 @@ def _run_cache_ls(store: ArtifactStore, as_json: bool = False) -> None:
 
 def _run_cache_gc(store: ArtifactStore) -> None:
     stats = store.gc()
-    # Details cover both removals ("<reason>: <file>") and notices (lock
-    # contention, unusable directory), so they carry their own verbs.
+    # Details cover both removals ("<reason>: <file>") and notices (an
+    # unusable directory), so they carry their own verbs.
     for detail in stats.details:
         print(f"gc: {detail}")
-    for shard in sorted(stats.shards):
-        shard_stats = stats.shards[shard]
-        print(
-            f"shard {shard}: kept {shard_stats['kept']}, "
-            f"removed {shard_stats['removed']}, "
-            f"evicted {shard_stats['evicted']}, "
-            f"reclaimed {_format_bytes(shard_stats['reclaimed_bytes'])}"
-        )
     print(
         f"kept {stats.kept_entries} entries; removed {stats.removed_entries} "
         f"entries ({stats.removed_files} files, "
         f"{_format_bytes(stats.reclaimed_bytes)} reclaimed); "
-        f"evicted {stats.evicted_entries}; "
-        f"compacted {stats.compacted_shards} shards"
+        f"evicted {stats.evicted_entries}"
     )
 
 

@@ -4,10 +4,11 @@ The store gives the reproduction a memory of its own computations: every
 engine artifact — projected graphs, motif counts, null-model averages,
 characteristic profiles — is keyed by a stable **dataset fingerprint**
 (content hash of the canonical CSR arrays) plus the canonical run
-parameters, cached in a bounded in-memory LRU tier, and persisted to an
-on-disk tier with a versioned manifest, atomic writes and corruption
-detection. Engines holding the same store share work across instances, and
-a store directory shared across processes makes cold CLI runs warm-start.
+parameters, cached in a bounded in-memory LRU tier, and persisted to a
+write-once on-disk tier: one checksummed file per artifact, published only
+if absent and never rewritten, so concurrent writers need no lock. Engines
+holding the same store share work across instances, and a store directory
+shared across processes makes cold CLI runs warm-start.
 
 >>> from repro.api import MotifEngine
 >>> from repro.store import ArtifactStore
@@ -37,13 +38,12 @@ from repro.store.artifacts import (
     reset_default_store,
     resolve_store,
 )
-from repro.store.lsm import LSMDiskTier, shard_of
+from repro.store.disk import DiskTier, shard_of
 from repro.store.fingerprint import (
     csr_fingerprint,
     hypergraph_fingerprint,
     params_digest,
 )
-from repro.store.locks import FileLock
 
 __all__ = [
     "ArtifactStore",
@@ -51,9 +51,8 @@ __all__ = [
     "StoreStats",
     "GCStats",
     "EvictionPolicy",
-    "LSMDiskTier",
+    "DiskTier",
     "shard_of",
-    "FileLock",
     "EngineServer",
     "ServeRequest",
     "WorkerPool",

@@ -1,47 +1,40 @@
-"""The two-tier artifact store: bounded in-memory LRU over an LSM disk tier.
+"""The two-tier artifact store: bounded in-memory LRU over a write-once disk tier.
 
 The store keeps computed artifacts — projections, motif counts, null-model
 averages, characteristic profiles, prediction results, lineage sidecars —
 keyed by ``(kind, dataset fingerprint, canonical parameters)``. Lookups hit
 the hot in-memory tier first (a bounded LRU shared by every engine holding
 the store), then the persistent tier, which survives the process and makes
-cold CLI runs warm-start. The persistent tier is the log-structured engine
-in :mod:`repro.store.lsm` — the memory LRU plays the memtable, fresh writes
-land as O(1) appended records in per-shard logs (L0), and
-:meth:`ArtifactStore.gc` compacts each shard's log into its sorted base
-manifest (L1) while applying the store's eviction policy.
+cold CLI runs warm-start. The persistent tier is :mod:`repro.store.disk`:
+one file per artifact, at a path computed from its key, published once and
+never rewritten.
 
-On-disk layout (under the store directory; see :mod:`repro.store.lsm`)::
+On-disk layout (under the store directory)::
 
-    manifest.json                  # {"format_version": 2, ...}
-    shards/<xx>/manifest.log       # L0: append-only JSONL manifest records
-    shards/<xx>/manifest.base.json # L1: sorted base manifest (compacted)
-    shards/<xx>/.shard.lock        # per-shard interprocess FileLock
-    shards/<xx>/<fp>/<kind>-<digest>.npz   # payload arrays (KV-separated)
+    manifest.json                          # {"format_version": 3, ...}
+    shards/<xx>/<fp>/<kind>-<digest>.npz   # header line + arrays
 
-Every file write is atomic (unique temp file + ``os.replace`` for payloads
-and base manifests, a single O_APPEND record for the log), payload before
-record, so a published record never references a missing payload. Each
-record carries the entry's format version, its full parameter mapping and a
-SHA-256 checksum of the payload bytes; reads re-verify all three and treat
-any mismatch — truncation, corruption, a digest collision, a layout
-upgrade — as a miss, falling back to recomputation. A top-level manifest of
-any other layout version suspends the disk tier entirely (reads miss, writes
-are skipped) until :meth:`~ArtifactStore.gc` resets it.
+Each file's header carries the entry's format version, its full key and
+parameter mapping, and a SHA-256 checksum of the arrays that follow it;
+reads re-verify all of them and treat any mismatch — truncation,
+corruption, a digest collision, a layout upgrade — as a miss, unlinking the
+file so that the next put replaces it. A top-level manifest of any other
+layout version suspends the disk tier entirely (reads miss, writes are
+skipped) until :meth:`~ArtifactStore.gc` resets it.
 
 The store is safe under **concurrent same-directory writers** — parallel
-serving workers (threads or processes) persisting overlapping fingerprints.
-Writers serialize per shard on an advisory interprocess
-:class:`~repro.store.locks.FileLock`, so writers on different fingerprint
-prefixes never contend at all; racing writers of one entry are last-writer-
-wins. Lock contention past the bounded timeout never blocks or corrupts
-anything: the write **degrades to the memory tier** (counted in
-``stats.lock_contention``) and the artifact is simply recomputed by the next
+serving workers (threads or processes) persisting overlapping fingerprints —
+without a lock: every artifact is a deterministic function of its key, and a
+put publishes its file only if the name is absent, so racing writers of one
+key leave one complete file. A failed disk write (full disk, read-only
+directory) **degrades to the memory tier** (counted in
+``stats.write_errors``) and the artifact is simply recomputed by the next
 cold reader.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -59,15 +52,15 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import log_event
 from repro.store.fingerprint import params_digest
 from repro.utils.logging import get_logger
-from repro.store.locks import FileLock
-from repro.store.lsm import (
+from repro.store.disk import (
     FORMAT_VERSION,
+    LAYOUT,
+    DiskTier,
     EvictionPolicy,
     GCStats,
-    LSMDiskTier,
     StoreEntry,
-    atomic_write_bytes as _atomic_write_bytes,
     shard_of,
+    write_once,
 )
 
 __all__ = [
@@ -97,12 +90,7 @@ TIER_DISK = "disk"
 #: individual artifacts are small: 26-float vectors and CSR adjacency).
 DEFAULT_MEMORY_ITEMS = 128
 
-#: Default bound on waiting for a shard's interprocess lock before a write
-#: degrades to the memory tier.
-DEFAULT_LOCK_TIMEOUT = 5.0
-
 _MANIFEST_NAME = "manifest.json"
-_LOCK_NAME = ".store.lock"
 
 LOGGER = get_logger(__name__)
 
@@ -114,7 +102,7 @@ STORE_GETS_TOTAL = obs_metrics.counter(
 STORE_PUTS_TOTAL = obs_metrics.counter(
     "repro_store_puts_total",
     "Artifact writes by outcome: ok (both tiers), memory_only (no "
-    "persistent tier), error (disk failure), contention (shard lock busy).",
+    "persistent tier) or error (disk failure).",
     ("outcome",),
 )
 STORE_MEMORY_EVICTIONS_TOTAL = obs_metrics.counter(
@@ -134,7 +122,6 @@ class StoreStats:
     write_errors: int = 0
     corrupt_entries: int = 0
     evictions: int = 0
-    lock_contention: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Plain mapping of the counters (for logs and the CLI)."""
@@ -146,7 +133,6 @@ class StoreStats:
             "write_errors": self.write_errors,
             "corrupt_entries": self.corrupt_entries,
             "evictions": self.evictions,
-            "lock_contention": self.lock_contention,
         }
 
 
@@ -161,12 +147,9 @@ class ArtifactStore:
     memory_items:
         Bound on the in-memory LRU tier (0 disables it, so every read goes
         to disk).
-    lock_timeout:
-        Seconds to wait for a shard's interprocess lock before a disk write
-        degrades to the memory tier (``stats.lock_contention`` counts these).
     policy:
         Size/TTL eviction policy applied to the persistent tier at
-        :meth:`gc` time (see :class:`repro.store.lsm.EvictionPolicy`). The
+        :meth:`gc` time (see :class:`repro.store.disk.EvictionPolicy`). The
         default policy is unbounded — nothing valid is ever evicted.
     """
 
@@ -174,36 +157,15 @@ class ArtifactStore:
         self,
         directory: Optional[Union[str, Path]] = None,
         memory_items: int = DEFAULT_MEMORY_ITEMS,
-        lock_timeout: float = DEFAULT_LOCK_TIMEOUT,
         policy: Optional[EvictionPolicy] = None,
     ) -> None:
         if memory_items < 0:
             raise StoreError(f"memory_items must be >= 0, got {memory_items}")
-        if lock_timeout < 0:
-            raise StoreError(f"lock_timeout must be >= 0, got {lock_timeout}")
         self._directory = Path(directory).expanduser() if directory else None
         self._memory_items = int(memory_items)
-        self._lock_timeout = float(lock_timeout)
         self.policy = policy or EvictionPolicy()
-        # Created eagerly (construction never touches the filesystem): a
-        # lazily-raced assignment could replace a FileLock another thread
-        # holds, leaking its lock fd and wedging every future disk write.
-        # The global lock guards only whole-store transitions — the
-        # top-level manifest write and the stale-store wipe, which other
-        # processes may attempt at the same time; entry writes serialize on
-        # the tier's per-shard locks instead.
-        self._write_lock: Optional[FileLock] = (
-            FileLock(self._directory / _LOCK_NAME)
-            if self._directory is not None
-            else None
-        )
-        self._tier: Optional[LSMDiskTier] = (
-            LSMDiskTier(
-                self._directory,
-                lock_timeout=self._lock_timeout,
-                policy=self.policy,
-                on_corrupt=self._mark_corrupt,
-            )
+        self._tier: Optional[DiskTier] = (
+            DiskTier(self._directory, policy=self.policy, on_corrupt=self._mark_corrupt)
             if self._directory is not None
             else None
         )
@@ -296,10 +258,10 @@ class ArtifactStore:
     ) -> None:
         """Store one artifact in both tiers.
 
-        Disk failures (read-only directory, disk full) are absorbed into
-        ``stats.write_errors`` and shard-lock contention into
-        ``stats.lock_contention`` — a broken or contended store must degrade
-        to recompute, never break the computation it was meant to speed up.
+        The disk tier keeps an existing file of this key as it is. Disk
+        failures (read-only directory, disk full) are absorbed into
+        ``stats.write_errors`` — a broken store must degrade to recompute,
+        never break the computation it was meant to speed up.
         """
         frozen: Dict[str, np.ndarray] = {}
         for name, array in arrays.items():
@@ -316,9 +278,7 @@ class ArtifactStore:
             STORE_PUTS_TOTAL.inc(outcome="memory_only")
             return
         try:
-            stored = self._tier.put(
-                kind, fingerprint, digest, params, frozen, meta, dataset
-            )
+            self._tier.put(kind, fingerprint, digest, params, frozen, meta, dataset)
         except OSError as error:
             with self._lock:
                 self.stats.write_errors += 1
@@ -331,12 +291,20 @@ class ArtifactStore:
                 error=str(error),
             )
             return
-        if not stored:
-            with self._lock:
-                self.stats.lock_contention += 1
-            STORE_PUTS_TOTAL.inc(outcome="contention")
-            return
         STORE_PUTS_TOTAL.inc(outcome="ok")
+
+    def discard(self, kind: str, fingerprint: str, params: Mapping[str, Any]) -> None:
+        """Drop one artifact from both tiers.
+
+        For an entry that reads back intact but that its decoder rejects:
+        puts never rewrite a file, so without this the entry would be served,
+        rejected and recomputed by every cold reader.
+        """
+        digest = params_digest(params)
+        with self._lock:
+            self._memory.pop((kind, fingerprint, digest), None)
+        if self.persistent:
+            self._tier.discard(kind, fingerprint, digest)
 
     def clear_memory(self) -> None:
         """Drop the in-memory tier (the persistent tier is untouched)."""
@@ -345,94 +313,57 @@ class ArtifactStore:
 
     # --------------------------------------------------------------- listing
     def entries(self) -> List[StoreEntry]:
-        """All valid persisted entries, in sorted index order per shard."""
+        """All persisted entries, in path order."""
         if not self.persistent:
             return []
         return self._tier.entries()
 
     def occupancy(self) -> Optional[Dict[str, Any]]:
-        """Shard/level occupancy of the persistent tier (``None`` when absent).
+        """Occupancy of the persistent tier (``None`` when absent).
 
         The snapshot feeds ``EngineServer.describe()`` and ``GET /v1/stats``:
-        per-shard entry and byte counts, log-vs-base record totals, per-kind
-        footprints, and the active eviction policy.
+        entry and byte totals, shards used, per-kind footprints, and the
+        active eviction policy.
         """
         if not self.persistent:
             return None
         return self._tier.occupancy()
 
-    def shard_lock_path(self, fingerprint: str) -> Optional[Path]:
-        """The interprocess lock file guarding *fingerprint*'s shard."""
-        if self._tier is None:
-            return None
-        return self._tier.shard_lock_path(shard_of(fingerprint))
-
     def __len__(self) -> int:
         return len(self.entries())
 
-    # -------------------------------------------------------------- compaction
+    # --------------------------------------------------------------------- gc
     def gc(self, verify_checksums: bool = True) -> GCStats:
-        """Compact the persistent tier, one shard at a time.
+        """Reclaim what the persistent tier no longer needs.
 
-        Each shard's append log is folded into its sorted base manifest;
-        leftover temp files, records with a stale format version, entries
-        whose payload is missing or (when *verify_checksums*) fails its
-        checksum, orphaned payloads, and entries beyond the eviction
-        policy's TTL or byte budget are reclaimed. A store whose top-level
+        Reaps temp files old enough to be no live writer's, entries that
+        (when *verify_checksums*) fail their checksum, and entries beyond
+        the eviction policy's TTL or byte budget. A store whose top-level
         manifest was stale is wiped entirely and its manifest rewritten at
         the current version, re-enabling the disk tier.
-
-        Shards compact under their own interprocess locks, so compaction
-        never deletes the payload a racing writer is mid-way through
-        publishing; a shard whose lock cannot be acquired is skipped
-        (reported in ``details``) rather than risking exactly that race.
         """
         stats = GCStats()
         if self._directory is None:
             return stats
-        if self._disk_error is not None:
-            # Re-probe: the path may have become usable since __init__. Runs
-            # outside the instance lock (it may wait on the file lock when
-            # writing the manifest); the state fields it touches are simple
-            # assignments, and a racing get/put at worst misses or skips disk
-            # during the probe.
+        if self._disk_stale:
+            # Wipe the payload trees and the old manifest; the re-probe below
+            # publishes a current one.
+            self._tier.reset(stats)
+            with contextlib.suppress(OSError):
+                (self._directory / _MANIFEST_NAME).unlink()
+        if not self.persistent:
+            # Re-probe: the path may have become usable since __init__. The
+            # state fields this touches are plain assignments; a racing
+            # get/put at worst misses or skips disk meanwhile.
             self._disk_error = None
             self._init_directory()
             if self._disk_error is not None:
                 stats.details.append(
                     f"store directory unavailable: {self._disk_error}"
                 )
+            if not self.persistent:
                 return stats
-        if self._disk_stale:
-            # Whole-store reset: serialize on the global lock so two
-            # processes cannot wipe and rewrite the manifest concurrently.
-            if not self._acquire_write_lock():
-                stats.details.append(
-                    "write-lock contention: stale-store reset skipped "
-                    "(another process holds the store lock)"
-                )
-                return stats
-            try:
-                with self._lock:
-                    try:
-                        self._tier.wipe(stats)
-                        self._write_manifest()
-                        self._disk_stale = False
-                    except OSError as error:
-                        self._disk_error = str(error)
-                        stats.details.append(
-                            f"store directory unavailable: {error}"
-                        )
-            finally:
-                self._release_write_lock()
-            return stats
-        self._tier.gc(stats, verify_checksums)
-        try:
-            self._write_manifest()
-        except OSError:
-            with self._lock:
-                self.stats.write_errors += 1
-        return stats
+        return self._tier.gc(stats, verify_checksums)
 
     # ----------------------------------------------------------------- dunder
     def __repr__(self) -> str:
@@ -458,33 +389,21 @@ class ArtifactStore:
             self.stats.evictions += 1
             STORE_MEMORY_EVICTIONS_TOTAL.inc()
 
-    def _acquire_write_lock(self) -> bool:
-        """Take the global store lock; ``False`` means degrade.
-
-        Memory-only stores have nothing to serialize. Contention past the
-        bounded timeout is counted and reported, never raised — the caller
-        skips the whole-store transition it was guarding.
-        """
-        if self._write_lock is None:
-            return True
-        if self._write_lock.acquire(timeout=self._lock_timeout):
-            return True
-        with self._lock:
-            self.stats.lock_contention += 1
-        return False
-
-    def _release_write_lock(self) -> None:
-        if self._write_lock is not None and self._write_lock.held:
-            self._write_lock.release()
-
     def _init_directory(self) -> None:
-        directory = self._directory
+        """Publish the manifest unless present, then check its version."""
+        manifest_path = self._directory / _MANIFEST_NAME
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            manifest_path = directory / _MANIFEST_NAME
-            if not manifest_path.is_file():
-                self._write_manifest()
-                return
+            self._directory.mkdir(parents=True, exist_ok=True)
+            if not manifest_path.exists():
+                manifest = {
+                    "format_version": FORMAT_VERSION,
+                    "store": "repro.store",
+                    "layout": LAYOUT,
+                    "created": time.time(),
+                }
+                write_once(
+                    manifest_path, (json.dumps(manifest, indent=2) + "\n").encode()
+                )
         except OSError as error:
             # An unusable directory (path component is a file, permission
             # denied, ...) must not break the computation the store caches:
@@ -496,31 +415,8 @@ class ArtifactStore:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             version = manifest["format_version"]
         except (OSError, ValueError, KeyError, TypeError):
-            self._disk_stale = True
-            return
-        if version != FORMAT_VERSION:
-            self._disk_stale = True
-
-    def _write_manifest(self) -> None:
-        payload = json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "store": "repro.store",
-                "layout": "lsm",
-                "created": time.time(),
-            },
-            indent=2,
-        )
-        if not self._acquire_write_lock():
-            # The lock holder is writing the manifest or wiping a stale
-            # store; this rewrite is redundant — degrade by skipping it.
-            return
-        try:
-            _atomic_write_bytes(
-                self._directory / _MANIFEST_NAME, (payload + "\n").encode("utf-8")
-            )
-        finally:
-            self._release_write_lock()
+            version = None
+        self._disk_stale = version != FORMAT_VERSION
 
     def _mark_corrupt(self) -> None:
         with self._lock:

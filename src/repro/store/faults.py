@@ -1,7 +1,7 @@
 """Fault injection points for chaos-testing the serving and store stack.
 
 Failure paths are first-class design surface in this codebase — the store
-degrades to its memory tier when disk or locks misbehave, the worker pool
+degrades to its memory tier when the disk misbehaves, the worker pool
 survives a crashed process, the HTTP service sheds load with structured
 429s — but such paths are unreachable from ordinary tests without either
 monkeypatching internals (fragile, and useless across a process boundary)
@@ -14,22 +14,13 @@ dict lookup plus one environment probe and nothing else.
 Injection points currently wired (each named ``layer.event``):
 
 ===========================  =====================================================
-``store.disk_write``         :meth:`LSMDiskTier.put` raises
+``store.disk_write``         :meth:`DiskTier.put`, between the temp write and the
+                             link that publishes it; the key is
+                             ``"<kind>:<fingerprint>"``. ``error`` mode raises
                              :class:`InjectedFault` (an ``OSError``), exercising
-                             the degrade-to-memory write path.
-``store.lock_acquire``       :meth:`FileLock.acquire` reports timeout-style
-                             contention (returns ``False``), exercising
-                             ``stats.lock_contention`` degradation.
-``store.manifest_append``    The LSM tier's manifest mutation points. Fires
-                             with key ``"<kind>:<fingerprint>"`` just before a
-                             put's log record is appended (payload already on
-                             disk — an orphan for gc), and during compaction
-                             with keys ``"compact:<shard>:base"`` (before the
-                             new base is published) and
-                             ``"compact:<shard>:log"`` (base published, log
-                             not yet truncated). ``crash`` mode at any of the
-                             three is what the replay-on-open chaos tests use
-                             to prove no committed artifact is lost.
+                             the degrade-to-memory write path; ``crash`` mode
+                             leaves an unpublished temp file, which no reader
+                             sees and gc reaps once it is old.
 ``serve.unit``               :func:`dispatch_spec` — every execution backend —
                              can sleep (slow unit) or raise (failing unit). The
                              key is ``"<dataset>:<SpecType>"``.
@@ -63,8 +54,8 @@ Modes
     closest a test can get to ``SIGKILL`` from inside the victim.
 ``deny``
     Never fired by :func:`fire`; consumed by :func:`denied`, the form used
-    by call sites that must *report* failure (a lock acquire returning
-    ``False``, a handler dropping a connection) rather than raise.
+    by call sites that must *report* failure (a handler dropping a
+    connection) rather than raise.
 """
 
 from __future__ import annotations
@@ -282,8 +273,8 @@ def denied(point: str, key: Optional[str] = None) -> bool:
     """Whether an armed ``deny`` fault matches — the report-style hook.
 
     Used by call sites whose failure contract is a return value, not an
-    exception: a lock acquire timing out (returns ``False``), a handler
-    dropping a connection. ``True`` consumes one firing.
+    exception: a handler dropping a connection. ``True`` consumes one
+    firing.
     """
     if not _registry and ENV_FAULTS not in os.environ:
         return False

@@ -620,7 +620,7 @@ class EngineServer:
 
         This is what the HTTP service's ``GET /v1/stats`` serves — engine
         pool occupancy, serving counters (including in-flight batches), the
-        shared store's tier hit/miss/contention counters and the persistent
+        shared store's tier hit/miss/write-error counters and the persistent
         worker pool's shape.
         """
         with self._pool_lock:
@@ -640,9 +640,9 @@ class EngineServer:
                     str(self._store.directory) if self._store.persistent else None
                 ),
                 "stats": self._store.stats.as_dict(),
-                # Shard/level occupancy of the LSM disk tier (None for
-                # memory-only stores): per-shard entry and byte counts,
-                # L0-vs-L1 record totals, per-kind footprints, policy.
+                # Occupancy of the disk tier (None for memory-only stores):
+                # entry and byte totals, shards used, per-kind footprints,
+                # policy.
                 "occupancy": self._store.occupancy(),
             }
         pool = None if self._worker_pool is None else self._worker_pool.as_dict()

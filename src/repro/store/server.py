@@ -45,15 +45,15 @@ Endpoints
 ``GET /v1/stats``
     The engine server's :meth:`~repro.store.serve.EngineServer.describe`
     snapshot (engine-pool occupancy, serving counters, store tier hits and
-    lock contention, worker-pool shape, histogram latency summaries) plus
+    write errors, worker-pool shape, histogram latency summaries) plus
     HTTP-level counters.
 
 ``GET /v1/metrics``
     The process-wide :mod:`repro.obs` registry in Prometheus text exposition
     format 0.0.4 — per-stage server latency histograms, admission
     rejections, serve dedup/cache-tier/unit-failure counters, executor
-    queue-wait and respawn metrics, per-shard LSM put/get/compaction/
-    eviction/occupancy metrics. Suitable for a Prometheus scrape target.
+    queue-wait and respawn metrics, disk-tier put/get/eviction/occupancy
+    metrics. Suitable for a Prometheus scrape target.
 
 Every batch gets a trace id — the client's ``X-Request-Id`` header when
 present (:class:`~repro.store.client.ServiceClient` always sends one),
@@ -647,6 +647,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = f"repro-mochy/{__version__}"
 
+    #: TCP_NODELAY: a response's last segment must not wait ~40 ms for the
+    #: client's delayed ACK of the one before it (Nagle's algorithm).
+    disable_nagle_algorithm = True
+
     #: Idle keep-alive / read timeout (seconds) per connection.
     timeout = 60.0
 
@@ -820,9 +824,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _write_chunk(self, data: str) -> None:
         payload = data.encode("utf-8")
-        self.wfile.write(f"{len(payload):X}\r\n".encode("ascii"))
-        self.wfile.write(payload)
-        self.wfile.write(b"\r\n")
+        # One write per chunk: size line, payload and CRLF in one segment.
+        self.wfile.write(b"%X\r\n%s\r\n" % (len(payload), payload))
         # Flush per record: incremental arrival is the point of the stream.
         self.wfile.flush()
 

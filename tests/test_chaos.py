@@ -2,13 +2,13 @@
 
 The production claims under test (see :mod:`repro.store.faults` and the
 README's "Operations & failure modes"): a failing disk degrades writes to
-the memory tier, lock contention degrades instead of blocking, a corrupted
-entry reads as a miss, a slow unit burns only its own slot, a crashed
-process worker costs its batch's in-flight units and nothing else, an
-overloaded service sheds load with retryable 429s, and the client retries
-exactly the transient failures. Nothing here monkeypatches internals — the
-hardened code paths are reached through their first-class injection points,
-which also work across the worker-process boundary.
+the memory tier, a corrupted entry reads as a miss, a slow unit burns only
+its own slot, a crashed process worker costs its batch's in-flight units
+and nothing else, an overloaded service sheds load with retryable 429s,
+and the client retries exactly the transient failures. Nothing here
+monkeypatches internals — the hardened code paths are reached through
+their first-class injection points, which also work across the
+worker-process boundary.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.store.executors import (
     UnitFailure,
     WorkerPool,
 )
-from repro.store.locks import FileLock
 from repro.store.serve import EngineServer, ServeRequest
 from repro.store.server import build_server, shutdown_gracefully
 
@@ -170,35 +169,12 @@ class TestStoreDegradation:
         reader = ArtifactStore(directory)
         assert reader.get("count", "f" * 64, {"p": 1}) is None
         assert reader.stats.corrupt_entries == 1
-        # ...while a concurrent writer re-persisting the same key (the
-        # recompute path after such a miss) repairs the entry in place.
+        # ...and unlinks it, so a writer re-persisting the same key (the
+        # recompute path after such a miss) publishes a fresh entry.
         writer.put("count", "f" * 64, {"p": 1}, {"values": np.full(4, 2.0)})
         repaired = ArtifactStore(directory).get("count", "f" * 64, {"p": 1})
         assert repaired is not None and repaired[2] == "disk"
         assert np.array_equal(repaired[0]["values"], np.full(4, 2.0))
-
-    def test_injected_lock_contention_counts_and_degrades(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store", lock_timeout=0.05)
-        with faults.injected("store.lock_acquire", mode="deny"):
-            store.put("count", "f" * 64, {"p": 1}, {"values": np.ones(4)})
-        assert store.stats.lock_contention == 1
-        hit = store.get("count", "f" * 64, {"p": 1})
-        assert hit is not None and hit[2] == "memory"
-
-    def test_real_lock_contention_counts_identically(self, tmp_path):
-        directory = tmp_path / "store"
-        store = ArtifactStore(directory, lock_timeout=0.05)
-        lock_path = store.shard_lock_path("f" * 64)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        blocker = FileLock(lock_path)
-        assert blocker.acquire(timeout=1.0)
-        try:
-            store.put("count", "f" * 64, {"p": 1}, {"values": np.ones(4)})
-        finally:
-            blocker.release()
-        assert store.stats.lock_contention == 1
-        hit = store.get("count", "f" * 64, {"p": 1})
-        assert hit is not None and hit[2] == "memory"
 
 
 class TestServeChaos:
@@ -416,10 +392,10 @@ class TestLineageChainChaos:
         )
         store_dir = tmp_path / "store"
 
-        # Cold chain with every lineage manifest append failing: the counts
-        # land on disk, the sidecars degrade to the memory tier only —
-        # exactly the torn state a crash between the two writes leaves.
-        with faults.injected("store.manifest_append", key="lineage", times=None):
+        # Cold chain with every lineage disk write failing: the counts land
+        # on disk, the sidecars degrade to the memory tier only — exactly
+        # the torn state a crash between the two writes leaves.
+        with faults.injected("store.disk_write", key="lineage", times=None):
             crashed = MotifEngine(temporal, store=ArtifactStore(store_dir)).evolve(
                 EvolveSpec()
             )

@@ -256,10 +256,10 @@ class TestStoreCommands:
         assert main(["cache", "--store", store, "ls", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["total_entries"] >= 1
-        assert payload["occupancy"]["layout"] == "lsm"
+        assert payload["occupancy"]["layout"] == "write-once"
         for entry in payload["entries"]:
             assert set(entry) >= {
-                "kind", "fingerprint", "shard", "level", "size_bytes",
+                "kind", "fingerprint", "shard", "size_bytes",
                 "age_seconds", "created", "params",
             }
             assert entry["shard"] == entry["fingerprint"][:2]
@@ -272,13 +272,14 @@ class TestStoreCommands:
     def test_cache_gc(self, hypergraph_file, tmp_path, capsys):
         store = str(tmp_path / "store")
         assert main(["count", str(hypergraph_file), "--store", store]) == 0
-        # Drop the shard's manifest log: its payloads become orphans.
-        log = next((tmp_path / "store" / "shards").glob("*/manifest.log"))
-        log.unlink()
+        # Corrupt one entry: gc reaps it and keeps the rest.
+        payload = next((tmp_path / "store" / "shards").glob("*/*/count-*.npz"))
+        payload.write_bytes(b"corrupted")
         capsys.readouterr()
         assert main(["cache", "--store", store, "gc"]) == 0
         output = capsys.readouterr().out
-        assert "removed" in output and "kept" in output
+        assert f"gc: corrupt entry: {payload.name}" in output
+        assert "kept 1 entries; removed 1 entries (1 files," in output
 
 
 class TestServeBatch:

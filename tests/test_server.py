@@ -140,7 +140,7 @@ class TestEndpoints:
             assert payload["serve"]["batches"] == 0
             assert payload["store"]["persistent"] is True
             occupancy = payload["store"]["occupancy"]
-            assert occupancy["layout"] == "lsm"
+            assert occupancy["layout"] == "write-once"
             assert occupancy["num_shards"] == 256
             assert payload["pool"] == {
                 "backend": "thread",
@@ -455,6 +455,24 @@ class TestWireFormatErrors:
             assert payload["serve"]["in_flight"] == 0
             assert payload["service"]["batches_accepted"] == 1
             assert payload["service"]["errors_streamed"] == 1
+
+
+class TestTransportLatency:
+    def test_warm_single_count_answers_without_a_delayed_ack_stall(self, datasets):
+        # With Nagle's algorithm on, a response's last small segment waits
+        # for the client's delayed ACK of the one before it: ~40 ms per
+        # request on Linux loopback, for work that takes well under 1 ms.
+        alpha, _ = datasets
+        request = [{"source": alpha, "spec": {"type": "count"}}]
+        with running_server() as (_, client):
+            client.batch(request)  # build the engine and memoize its count
+            timings = []
+            for _ in range(20):
+                started = time.perf_counter()
+                client.batch(request)
+                timings.append(time.perf_counter() - started)
+        p50 = sorted(timings)[len(timings) // 2]
+        assert p50 < 0.010, f"warm single count p50 {1e3 * p50:.1f} ms"
 
 
 class TestClient:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.store import (
 )
 from repro.store.artifacts import FORMAT_VERSION
 from repro.store import codecs
+from repro.store.disk import TEMP_FILE_MAX_AGE
 
 
 def _make_hypergraph(seed: int = 0) -> Hypergraph:
@@ -121,51 +124,38 @@ class TestArtifactStoreTiers:
             resolve_store("not-a-store")
 
 
-class TestFailurePaths:
-    def _entry_files(self, store):
-        logs = list(store.directory.glob("shards/*/manifest.log"))
-        payloads = list(store.directory.glob("shards/*/*/*.npz"))
-        assert logs and payloads
-        return logs[0], payloads[0]
+def _entry_file(store):
+    """The store's one entry file."""
+    (payload,) = store.directory.glob("shards/*/*/*.npz")
+    return payload
 
+
+class TestFailurePaths:
     def test_truncated_payload_is_a_miss(self, store):
         _put_dummy(store)
-        _, payload = self._entry_files(store)
+        payload = _entry_file(store)
         payload.write_bytes(payload.read_bytes()[:10])
         reopened = ArtifactStore(store.directory)
         assert reopened.get("count", "f" * 64, {"algorithm": "exact"}) is None
         assert reopened.stats.corrupt_entries == 1
-
-    def test_garbage_log_is_a_miss(self, store):
-        _put_dummy(store)
-        log, _ = self._entry_files(store)
-        log.write_text("{not json", encoding="utf-8")
-        reopened = ArtifactStore(store.directory)
-        assert reopened.get("count", "f" * 64, {"algorithm": "exact"}) is None
-
-    def test_trailing_partial_log_record_is_skipped(self, store):
-        # A writer crashed mid-append: the log's last line is half a record.
-        # Replay-on-open must keep every complete record and skip the tail.
-        _put_dummy(store)
-        log, _ = self._entry_files(store)
-        with open(log, "ab") as handle:
-            handle.write(b'{"format_version": 2, "op": "put", "kind": "tru')
-        reopened = ArtifactStore(store.directory)
-        assert reopened.get("count", "f" * 64, {"algorithm": "exact"}) is not None
+        assert not payload.exists()
 
     def test_version_mismatched_entry_is_a_miss(self, store):
         _put_dummy(store)
-        log, _ = self._entry_files(store)
-        record = json.loads(log.read_text(encoding="utf-8").splitlines()[0])
-        record["format_version"] = FORMAT_VERSION + 1
-        log.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        payload = _entry_file(store)
+        line, body = payload.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["format_version"] = FORMAT_VERSION + 1
+        payload.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
         reopened = ArtifactStore(store.directory)
         assert reopened.get("count", "f" * 64, {"algorithm": "exact"}) is None
+        assert reopened.stats.corrupt_entries == 1
 
-    @pytest.mark.parametrize("version", [999, 1])
+    @pytest.mark.parametrize("version", [999, 1, 2])
     def test_version_mismatched_manifest_suspends_disk(self, store, version):
-        # Version 1 (the flat layout) is stale like any other version: its
-        # data/ tree is reset by gc, not migrated.
+        # Versions 1 (the flat layout) and 2 (the log-structured one) are
+        # stale like any other version: their trees are reset by gc, not
+        # migrated.
         _put_dummy(store)
         legacy = store.directory / "data" / ("f" * 64)
         legacy.mkdir(parents=True)
@@ -178,7 +168,7 @@ class TestFailurePaths:
         assert stale.disk_stale
         assert stale.get("count", "f" * 64, {"algorithm": "exact"}) is None
         assert stale.entries() == []
-        # gc compacts the stale directory, rewrites the manifest and
+        # gc resets the stale directory, rewrites the manifest and
         # re-enables persistence.
         stats = stale.gc()
         assert stats.removed_files > 0
@@ -201,14 +191,20 @@ class TestFailurePaths:
 
     def test_leftover_temp_files_are_ignored_and_collected(self, store):
         _put_dummy(store)
-        log, _ = self._entry_files(store)
-        junk = log.with_name("manifest.base.json.tmp-999-dead")
+        payload = _entry_file(store)
+        junk = payload.with_name(payload.name + ".tmp-999-dead")
         junk.write_bytes(b"partial write")
+        aged = time.time() - TEMP_FILE_MAX_AGE - 60
+        os.utime(junk, (aged, aged))
+        # A fresh temp file may be a live writer's, between write and link.
+        live = payload.with_name(payload.name + ".tmp-998-live")
+        live.write_bytes(b"being written")
         reopened = ArtifactStore(store.directory)
         assert reopened.get("count", "f" * 64, {"algorithm": "exact"}) is not None
         stats = reopened.gc()
         assert not junk.exists()
-        assert stats.kept_entries == 1
+        assert live.exists()
+        assert stats.kept_entries == 1 and stats.removed_files == 1
 
     def test_write_errors_degrade_gracefully(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
@@ -236,22 +232,50 @@ class TestFailurePaths:
         assert store.persistent
 
 
+class TestWriteOnce:
+    """A key's file is published once; only an invalid file is replaced."""
+
+    def test_reput_leaves_the_file_untouched(self, store):
+        _put_dummy(store)
+        before = _entry_file(store).stat()
+        _put_dummy(store)
+        _put_dummy(ArtifactStore(store.directory))
+        after = _entry_file(store).stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert store.stats.write_errors == 0
+
+    def test_corrupt_file_is_unlinked_by_get_and_replaced_by_next_put(self, store):
+        _put_dummy(store)
+        payload = _entry_file(store)
+        payload.write_bytes(b"garbage")
+        reader = ArtifactStore(store.directory)
+        assert reader.get("count", "f" * 64, {"algorithm": "exact"}) is None
+        assert reader.stats.corrupt_entries == 1
+        assert not payload.exists()
+        _put_dummy(ArtifactStore(store.directory), value=2.0)
+        hit = ArtifactStore(store.directory).get(
+            "count", "f" * 64, {"algorithm": "exact"}
+        )
+        assert hit is not None and hit[2] == "disk"
+        assert np.array_equal(hit[0]["counts"], np.full(26, 2.0))
+
+
 class TestGC:
-    def test_gc_removes_orphans_and_invalid_entries(self, store):
+    def test_gc_removes_invalid_entries(self, store):
         _put_dummy(store, fingerprint="a" * 64)
         _put_dummy(store, fingerprint="b" * 64)
-        logs = sorted(store.directory.glob("shards/*/manifest.log"))
-        payloads = sorted(store.directory.glob("shards/*/*/*.npz"))
-        logs[0].unlink()  # shard aa loses its records -> payload orphaned
-        payloads[1].write_bytes(b"corrupted")  # shard bb: checksum failure
+        valid, corrupt = sorted(store.directory.glob("shards/*/*/*.npz"))
+        corrupt.write_bytes(b"corrupted")  # checksum failure
+        # Intact bytes under a name their header does not give.
+        misplaced = valid.with_name("count-misplaced.npz")
+        misplaced.write_bytes(valid.read_bytes())
         extra = store.directory / "shards" / "cc" / ("c" * 64) / "count-dead.npz"
         extra.parent.mkdir(parents=True)
-        extra.write_bytes(b"no record")
+        extra.write_bytes(b"no header")
         stats = store.gc()
-        assert stats.kept_entries == 0
-        assert stats.removed_entries >= 1  # the corrupt recorded entry
-        assert stats.removed_files >= 3
-        assert list(store.directory.glob("shards/*/*/*.npz")) == []
+        assert stats.kept_entries == 1
+        assert stats.removed_entries == 3 and stats.removed_files == 3
+        assert list(store.directory.glob("shards/*/*/*.npz")) == [valid]
 
     def test_gc_keeps_valid_entries(self, store):
         _put_dummy(store)
@@ -404,6 +428,21 @@ class TestEngineIntegration:
         warm = warm_engine.count()
         assert not warm.from_cache
         assert np.array_equal(warm.counts.to_array(), cold.counts.to_array())
+
+    def test_entry_its_codec_rejects_is_recomputed_once(self, store):
+        # Intact on disk, but 5 counts instead of 26: the decoder rejects it.
+        hypergraph = _make_hypergraph()
+        params = codecs.count_params(CountSpec())
+        store.put(
+            codecs.KIND_COUNT, hypergraph.fingerprint(), params, {"counts": np.ones(5)}
+        )
+        first = MotifEngine(hypergraph, store=ArtifactStore(store.directory)).count()
+        assert not first.from_cache
+        second = MotifEngine(
+            _make_hypergraph(), store=ArtifactStore(store.directory)
+        ).count()
+        assert second.from_cache and second.cache_tier == "disk"
+        assert np.array_equal(second.counts.to_array(), first.counts.to_array())
 
     def test_memory_tier_shared_across_engines_in_process(self, store):
         hypergraph = _make_hypergraph()

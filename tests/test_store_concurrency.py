@@ -2,12 +2,12 @@
 
 The scenarios mirror the parallel serving path: N threads sharing one
 :class:`ArtifactStore` instance, N threads on *separate* instances (so they
-contend on the interprocess file lock, not the instance lock), and N worker
-processes each opening its own store over the same directory — all with
-overlapping fingerprints, exactly what deduplicated-but-racing batches
-produce. Afterwards the invariants must hold: the manifest parses at the
-current format version, every entry decodes and passes its checksum, and
-``gc()`` finds nothing to reap (no orphans, no corrupt entries).
+race on the file system, not the instance lock), and N worker processes
+each opening its own store over the same directory — all with overlapping
+fingerprints, exactly what deduplicated-but-racing batches produce.
+Afterwards the invariants must hold: the manifest parses at the current
+format version, every entry decodes to its key's content, and ``gc()``
+finds nothing to reap (no corrupt entries, no stray files).
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.store import ArtifactStore, FileLock
+from repro.store import ArtifactStore
 from repro.store.artifacts import FORMAT_VERSION
 
 #: Overlapping key space shared by every worker: a handful of fingerprints
@@ -59,7 +58,7 @@ def _hammer(directory: str, worker_id: int, num_ops: int = 40) -> int:
     Module-level so process pools can pickle it by reference. Returns the
     number of distinct keys touched (a cheap liveness signal).
     """
-    store = ArtifactStore(directory, lock_timeout=30.0)
+    store = ArtifactStore(directory)
     touched = set()
     for op in range(num_ops):
         kind, fingerprint, params = _key_for(op + worker_id)
@@ -129,7 +128,7 @@ class TestThreadStress:
         _assert_store_clean(directory)
 
     def test_threads_on_separate_instances(self, tmp_path):
-        """Separate instances contend on the *file* lock, not the instance lock."""
+        """Separate instances race on the file system, not the instance lock."""
         directory = tmp_path / "store"
         errors = []
 
@@ -148,7 +147,7 @@ class TestThreadStress:
         _assert_store_clean(directory)
 
     def test_concurrent_gc_and_writers(self, tmp_path):
-        """Compaction racing writers never produces orphans or lost manifests."""
+        """gc racing writers never reaps a live writer's file or loses a put."""
         directory = tmp_path / "store"
         store = ArtifactStore(directory)
         stop = threading.Event()
@@ -201,102 +200,3 @@ class TestProcessStress:
             results = [future.result(timeout=120) for future in futures]
         assert all(result > 0 for result in results)
         _assert_store_clean(directory)
-
-
-class TestLockContention:
-    def _block_shard(self, store, fingerprint):
-        # Writers serialize on their fingerprint's *shard* lock, not a
-        # store-global one; holding it from a second FileLock instance
-        # simulates another process mid-write in the same shard.
-        lock_path = store.shard_lock_path(fingerprint)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        blocker = FileLock(lock_path)
-        assert blocker.acquire(timeout=1.0)
-        return blocker
-
-    def test_put_degrades_to_memory_under_contention(self, tmp_path):
-        directory = tmp_path / "store"
-        store = ArtifactStore(directory, lock_timeout=0.05)
-        blocker = self._block_shard(store, "fp")
-        try:
-            store.put("count", "fp", {"p": 1}, {"values": np.ones(4)})
-            # Never raised; the artifact lives in the memory tier only.
-            assert store.stats.lock_contention >= 1
-            hit = store.get("count", "fp", {"p": 1})
-            assert hit is not None and hit[2] == "memory"
-            cold = ArtifactStore(directory)
-            assert cold.get("count", "fp", {"p": 1}) is None
-        finally:
-            blocker.release()
-
-    def test_put_on_other_shards_is_unaffected(self, tmp_path):
-        # The point of per-shard locking: contention on one shard never
-        # blocks writers whose fingerprints hash elsewhere.
-        directory = tmp_path / "store"
-        store = ArtifactStore(directory, lock_timeout=0.05)
-        blocker = self._block_shard(store, "aa" * 32)
-        try:
-            store.put("count", "bb" * 32, {"p": 1}, {"values": np.ones(4)})
-            assert store.stats.lock_contention == 0
-            cold = ArtifactStore(directory)
-            assert cold.get("count", "bb" * 32, {"p": 1}) is not None
-        finally:
-            blocker.release()
-
-    def test_gc_skipped_under_contention(self, tmp_path):
-        directory = tmp_path / "store"
-        store = ArtifactStore(directory, lock_timeout=0.05)
-        store.put("count", "fp", {"p": 1}, {"values": np.ones(4)})
-        blocker = self._block_shard(store, "fp")
-        try:
-            stats = store.gc()
-            assert stats.kept_entries == 0 and stats.removed_files == 0
-            assert any("contention" in detail for detail in stats.details)
-        finally:
-            blocker.release()
-        # With the lock free again, compaction proceeds normally.
-        stats = store.gc()
-        assert stats.kept_entries == 1
-
-    def test_writes_resume_after_contention_clears(self, tmp_path):
-        directory = tmp_path / "store"
-        store = ArtifactStore(directory, lock_timeout=0.05)
-        blocker = self._block_shard(store, "fp")
-        store.put("count", "fp", {"p": 1}, {"values": np.ones(4)})
-        blocker.release()
-        store.put("count", "fp", {"p": 2}, {"values": np.ones(4)})
-        cold = ArtifactStore(directory)
-        assert cold.get("count", "fp", {"p": 2}) is not None
-
-
-class TestFileLock:
-    def test_reentrant_within_one_instance(self, tmp_path):
-        lock = FileLock(tmp_path / "x.lock")
-        assert lock.acquire(timeout=1.0)
-        assert lock.acquire(timeout=1.0)
-        assert lock.held
-        lock.release()
-        assert lock.held
-        lock.release()
-        assert not lock.held
-
-    def test_instances_exclude_each_other(self, tmp_path):
-        first = FileLock(tmp_path / "x.lock")
-        second = FileLock(tmp_path / "x.lock")
-        assert first.acquire(timeout=1.0)
-        try:
-            assert not second.acquire(timeout=0.05)
-        finally:
-            first.release()
-        assert second.acquire(timeout=1.0)
-        second.release()
-
-    def test_release_of_unheld_lock_raises(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            FileLock(tmp_path / "x.lock").release()
-
-    def test_context_manager(self, tmp_path):
-        lock = FileLock(tmp_path / "x.lock")
-        with lock:
-            assert lock.held
-        assert not lock.held

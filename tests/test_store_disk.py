@@ -1,9 +1,9 @@
-"""Tests for the log-structured disk tier (:mod:`repro.store.lsm`).
+"""Tests for the write-once disk tier (:mod:`repro.store.disk`).
 
-Covers what the flat-layout tests cannot: shard routing, crash-safety of
-compaction (via ``store.manifest_append`` chaos faults in a child process),
+Covers shard routing, a writer crashing between its temp write and its
+publish (via the ``store.disk_write`` chaos fault in a child process),
 many-process writes on distinct shards, the eviction policy, occupancy
-reporting, and the new hyperwedge/predict warm starts.
+reporting, and the hyperwedge/predict warm starts.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from repro.generators import (
 )
 from repro.store import ArtifactStore, EvictionPolicy, shard_of
 from repro.store import codecs
+from repro.store.disk import TEMP_FILE_MAX_AGE
 from repro.store.faults import ENV_FAULTS, encode_env
-from repro.store.lsm import LEVEL_BASE, LEVEL_LOG
 from repro.store.serve import EngineServer
 
 FP_A = "a" * 64  # shard "aa"
@@ -60,32 +60,14 @@ class TestSharding:
         store.put("count", FP_A, {"p": 1}, {"values": np.ones(4)})
         store.put("count", FP_B, {"p": 1}, {"values": np.ones(4)})
         shards = tmp_path / "store" / "shards"
-        assert (shards / "aa" / "manifest.log").is_file()
-        assert (shards / "bb" / "manifest.log").is_file()
         assert list((shards / "aa" / FP_A).glob("count-*.npz"))
+        assert list((shards / "bb" / FP_B).glob("count-*.npz"))
         (entry_a,) = [e for e in store.entries() if e.fingerprint == FP_A]
-        assert entry_a.shard == "aa" and entry_a.level == LEVEL_LOG
-
-    def test_compaction_promotes_log_records_to_base(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        store.put("count", FP_A, {"p": 1}, {"values": np.ones(4)})
-        stats = store.gc()
-        assert stats.compacted_shards == 1 and stats.kept_entries == 1
-        assert "aa" in stats.shards
-        fresh = ArtifactStore(tmp_path / "store")
-        (entry,) = fresh.entries()
-        assert entry.level == LEVEL_BASE
-        assert not (tmp_path / "store" / "shards" / "aa" / "manifest.log").exists()
+        assert entry_a.shard == "aa"
 
 
-#: Child snippets for the crash tests (run via ``python -c``). The armed
-#: fault (from REPRO_FAULTS) calls os._exit(3) inside the marked step.
-_GC_CHILD = """
-import sys
-from repro.store import ArtifactStore
-ArtifactStore(sys.argv[1]).gc()
-"""
-
+#: Child snippet for the crash test (run via ``python -c``). The armed fault
+#: (from REPRO_FAULTS) calls os._exit(3) between the temp write and the link.
 _PUT_CHILD = """
 import sys
 import numpy as np
@@ -97,55 +79,33 @@ ArtifactStore(sys.argv[1]).put(
 
 
 class TestCrashSafety:
-    """Kill the process inside a manifest mutation; nothing committed is lost."""
+    """Kill a writer before it publishes; no reader ever sees its file."""
 
-    def _run_child(self, snippet: str, directory: Path, fault_key: str) -> None:
+    def test_crash_mid_put_leaves_no_visible_entry(self, tmp_path):
+        directory = tmp_path / "store"
+        ArtifactStore(directory)  # settle the manifest before the child runs
         result = subprocess.run(
-            [sys.executable, "-c", snippet, str(directory)],
+            [sys.executable, "-c", _PUT_CHILD, str(directory)],
             env=_subprocess_env(
-                **{
-                    "store.manifest_append": {"mode": "crash", "key": fault_key}
-                }
+                **{"store.disk_write": {"mode": "crash", "key": f"count:{FP_A}"}}
             ),
             capture_output=True,
             timeout=120,
         )
         assert result.returncode == 3, result.stderr.decode()
-
-    @pytest.mark.parametrize("step", ["base", "log"])
-    def test_crash_mid_compaction_loses_nothing(self, tmp_path, step):
-        directory = tmp_path / "store"
-        store = ArtifactStore(directory)
-        store.put("count", FP_A, {"p": 1}, {"values": np.arange(8.0)})
-        store.put("profile", FP_A, {"p": 2}, {"values": np.arange(26.0)})
-        self._run_child(_GC_CHILD, directory, f"compact:aa:{step}")
-        # Replay-on-open: the committed artifacts survive the torn compaction.
-        fresh = ArtifactStore(directory)
-        for kind, params, values in (
-            ("count", {"p": 1}, np.arange(8.0)),
-            ("profile", {"p": 2}, np.arange(26.0)),
-        ):
-            hit = fresh.get(kind, FP_A, params)
-            assert hit is not None, f"{kind} lost after crash at {step} step"
-            assert np.array_equal(hit[0]["values"], values)
-        # The next compaction completes and leaves a clean shard behind.
-        stats = fresh.gc()
-        assert stats.kept_entries == 2 and stats.removed_entries == 0
-        assert ArtifactStore(directory).get("count", FP_A, {"p": 1}) is not None
-
-    def test_crash_mid_put_leaves_an_orphan_not_a_torn_record(self, tmp_path):
-        directory = tmp_path / "store"
-        ArtifactStore(directory)  # settle the manifest before the child runs
-        self._run_child(_PUT_CHILD, directory, f"count:{FP_A}")
-        # Payload published, record never appended: reads miss cleanly...
+        # The temp file was written, never published: reads miss cleanly.
+        (temp,) = directory.glob("shards/aa/*/count-*.npz.tmp-*")
         fresh = ArtifactStore(directory)
         assert fresh.get("count", FP_A, {"p": 1}) is None
-        orphans = list(directory.glob("shards/aa/*/count-*.npz"))
-        assert orphans, "the crash fired after the payload write"
-        # ...and gc reaps the orphan, after which the put can be replayed.
+        assert fresh.entries() == []
+        assert fresh.stats.corrupt_entries == 0
+        # A young temp file may be a live writer's: gc leaves it alone...
+        assert fresh.gc().removed_files == 0 and temp.exists()
+        # ...and reaps it once it is old.
+        aged = time.time() - TEMP_FILE_MAX_AGE - 60
+        os.utime(temp, (aged, aged))
         stats = fresh.gc()
-        assert stats.removed_files >= 1
-        assert not list(directory.glob("shards/aa/*/count-*.npz"))
+        assert stats.removed_files == 1 and not temp.exists()
         fresh.put("count", FP_A, {"p": 1}, {"values": np.ones(8)})
         assert ArtifactStore(directory).get("count", FP_A, {"p": 1}) is not None
 
@@ -153,7 +113,7 @@ class TestCrashSafety:
 def _distinct_shard_worker(directory: str, worker_id: int, num_ops: int) -> dict:
     """One process hammering its own shard (module-level for pickling)."""
     fingerprint = f"{worker_id:02x}" * 32
-    store = ArtifactStore(directory, lock_timeout=5.0)
+    store = ArtifactStore(directory)
     for op in range(num_ops):
         params = {"p": op}
         store.put("count", fingerprint, params, {"values": np.full(16, float(op))})
@@ -172,9 +132,6 @@ class TestDistinctShardWriters:
                 for i in range(num_workers)
             ]
             results = [future.result(timeout=180) for future in futures]
-        # Distinct fingerprint prefixes -> distinct shards -> no writer ever
-        # waits on another's lock, and nothing degrades.
-        assert sum(stats["lock_contention"] for stats in results) == 0
         assert sum(stats["write_errors"] for stats in results) == 0
         fresh = ArtifactStore(directory)
         occupancy = fresh.occupancy()
@@ -185,7 +142,7 @@ class TestDistinctShardWriters:
             assert fresh.get("count", fingerprint, {"p": 14}) is not None
         stats = fresh.gc()
         assert stats.removed_entries == 0, stats.details
-        assert stats.compacted_shards == num_workers
+        assert stats.kept_entries == num_workers * 15
 
 
 class TestEvictionPolicy:
@@ -232,21 +189,20 @@ class TestEvictionPolicy:
 
 
 class TestOccupancy:
-    def test_snapshot_tracks_levels_and_kinds(self, tmp_path):
+    def test_snapshot_tracks_shards_and_kinds(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         store.put("count", FP_A, {"p": 1}, {"values": np.ones(26)})
         store.put("count", FP_B, {"p": 1}, {"values": np.ones(26)})
+        store.put("null-counts", FP_B, {"p": 1}, {"values": np.ones(26)})
         occupancy = store.occupancy()
-        assert occupancy["layout"] == "lsm" and occupancy["num_shards"] == 256
-        assert occupancy["shards_used"] == 2 and occupancy["entries"] == 2
-        assert occupancy["log_records"] == 2 and occupancy["base_records"] == 0
+        assert occupancy["layout"] == "write-once" and occupancy["num_shards"] == 256
+        assert occupancy["shards_used"] == 2 and occupancy["entries"] == 3
         assert occupancy["by_kind"]["count"]["entries"] == 2
-        assert set(occupancy["shards"]) == {"aa", "bb"}
-        assert occupancy["payload_bytes"] > 0
-        store.gc()
-        compacted = store.occupancy()
-        assert compacted["log_records"] == 0 and compacted["base_records"] == 2
-        json.dumps(compacted)  # must be wire-ready for /v1/stats
+        assert occupancy["by_kind"]["null-counts"]["entries"] == 1
+        assert occupancy["payload_bytes"] == sum(
+            entry.payload_bytes for entry in store.entries()
+        )
+        json.dumps(occupancy)  # must be wire-ready for /v1/stats
 
     def test_memory_only_store_has_no_occupancy(self):
         assert ArtifactStore().occupancy() is None
@@ -257,7 +213,7 @@ class TestOccupancy:
         store.put("count", FP_A, {"p": 1}, {"values": np.ones(26)})
         snapshot = server.describe()
         occupancy = snapshot["store"]["occupancy"]
-        assert occupancy["layout"] == "lsm" and occupancy["entries"] == 1
+        assert occupancy["layout"] == "write-once" and occupancy["entries"] == 1
 
 
 class TestEngineWarmStarts:
