@@ -26,6 +26,7 @@ from repro.api import CountSpec
 from repro.exceptions import ServeError
 from repro.store import ArtifactStore
 from repro.store import faults
+from repro.store.artifacts import STORE_PUTS_TOTAL
 from repro.store.client import ServiceClient
 from repro.store.executors import (
     FAILURE_TIMEOUT,
@@ -158,6 +159,36 @@ class TestStoreDegradation:
         # The failed write never reached disk: a fresh store misses.
         fresh = ArtifactStore(tmp_path / "store")
         assert fresh.get("count", "f" * 64, {"p": 1}) is None
+
+    @staticmethod
+    def _failed_put(store):
+        """Store stats and puts by outcome after one put that must fail."""
+        outcomes = ("ok", "memory_only", "error")
+        before = [STORE_PUTS_TOTAL.value(outcome=outcome) for outcome in outcomes]
+        store.put("count", "f" * 64, {"p": 1}, {"values": np.ones(4)})
+        after = [STORE_PUTS_TOTAL.value(outcome=outcome) for outcome in outcomes]
+        puts = {key: new - old for key, new, old in zip(outcomes, after, before)}
+        hit = store.get("count", "f" * 64, {"p": 1})
+        assert hit is not None and hit[2] == "memory"
+        assert not list(store.directory.glob("shards/**/*.npz*"))
+        return store.stats.as_dict(), puts
+
+    def test_injected_disk_write_error_counts_as_an_error_put(self, tmp_path):
+        with faults.injected("store.disk_write"):
+            stats, puts = self._failed_put(ArtifactStore(tmp_path / "store"))
+        assert puts == {"ok": 0, "memory_only": 0, "error": 1}
+        assert stats["writes"] == 1 and stats["write_errors"] == 1
+
+    def test_real_disk_write_error_counts_identically(self, tmp_path):
+        with faults.injected("store.disk_write"):
+            injected = self._failed_put(ArtifactStore(tmp_path / "injected"))
+        # A plain file where the fingerprint's directory belongs: the put's
+        # mkdir fails for real, with no fault armed.
+        store = ArtifactStore(tmp_path / "real")
+        blocker = store.directory / "shards" / "ff" / ("f" * 64)
+        blocker.parent.mkdir(parents=True)
+        blocker.write_text("in the way", encoding="utf-8")
+        assert self._failed_put(store) == injected
 
     def test_corrupted_payload_is_a_miss_until_a_writer_repairs_it(self, tmp_path):
         directory = tmp_path / "store"

@@ -151,6 +151,31 @@ class TestFailurePaths:
         assert reopened.get("count", "f" * 64, {"algorithm": "exact"}) is None
         assert reopened.stats.corrupt_entries == 1
 
+    def test_garbage_header_line_is_a_miss(self, store):
+        _put_dummy(store)
+        payload = _entry_file(store)
+        body = payload.read_bytes().split(b"\n", 1)[1]
+        payload.write_bytes(b"{not a header\n" + body)
+        reopened = ArtifactStore(store.directory)
+        assert reopened.entries() == []
+        assert reopened.get("count", "f" * 64, {"algorithm": "exact"}) is None
+        assert reopened.stats.corrupt_entries == 1
+        assert not payload.exists()
+
+    def test_entry_of_other_params_at_the_path_is_a_miss(self, store):
+        # A params-digest collision: the file at this key's path is intact
+        # (its checksum covers only the arrays) but holds other params.
+        _put_dummy(store)
+        payload = _entry_file(store)
+        line, body = payload.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["params"] = {"algorithm": "mochy-a"}
+        payload.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        reopened = ArtifactStore(store.directory)
+        assert reopened.get("count", "f" * 64, {"algorithm": "exact"}) is None
+        assert reopened.stats.corrupt_entries == 1
+        assert not payload.exists()
+
     @pytest.mark.parametrize("version", [999, 1, 2])
     def test_version_mismatched_manifest_suspends_disk(self, store, version):
         # Versions 1 (the flat layout) and 2 (the log-structured one) are

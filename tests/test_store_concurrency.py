@@ -13,6 +13,7 @@ finds nothing to reap (no corrupt entries, no stray files).
 from __future__ import annotations
 
 import json
+import os
 import threading
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, faults
 from repro.store.artifacts import FORMAT_VERSION
 
 #: Overlapping key space shared by every worker: a handful of fingerprints
@@ -199,4 +200,122 @@ class TestProcessStress:
             ]
             results = [future.result(timeout=120) for future in futures]
         assert all(result > 0 for result in results)
+        _assert_store_clean(directory)
+
+
+class TestLockFreeWriters:
+    """Writers never wait on one another and never degrade because of one another.
+
+    A put either publishes its key's file or finds it already published, so
+    what a lock-based store handled by timing out into the memory tier —
+    racing writers, a failing writer, gc beside a writer — needs no lock.
+    """
+
+    def test_racing_puts_of_one_key_never_degrade(self, tmp_path):
+        directory = tmp_path / "store"
+        kind, fingerprint, params = _key_for(0)
+        expected = _expected_arrays(kind, fingerprint, params)
+        stores = [ArtifactStore(directory) for _ in range(8)]
+        barrier = threading.Barrier(len(stores))
+        errors = []
+
+        def run(store: ArtifactStore) -> None:
+            try:
+                barrier.wait(timeout=30)
+                store.put(kind, fingerprint, params, expected)
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        # Every writer pauses between its temp write and its link, so all of
+        # them pass the existence check and race on the link itself.
+        with faults.injected("store.disk_write", mode="sleep", seconds=0.2, times=None):
+            threads = [threading.Thread(target=run, args=(store,)) for store in stores]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert not errors
+        assert [store.stats.write_errors for store in stores] == [0] * len(stores)
+        assert len(list(directory.glob("shards/*/*/*.npz"))) == 1
+        assert not list(directory.glob("shards/*/*/*.tmp-*"))
+        hit = ArtifactStore(directory).get(kind, fingerprint, params)
+        assert hit is not None and hit[2] == "disk"
+        assert np.array_equal(hit[0]["values"], expected["values"])
+        _assert_store_clean(directory)
+
+    def test_a_failing_key_leaves_other_keys_unaffected(self, tmp_path):
+        directory = tmp_path / "store"
+        store = ArtifactStore(directory)
+        failing, healthy = FINGERPRINTS[0], FINGERPRINTS[1]
+        params = {"p": 0}
+        with faults.injected("store.disk_write", key=f"count:{failing}", times=None):
+            for fingerprint in (failing, healthy, failing):
+                store.put(
+                    "count",
+                    fingerprint,
+                    params,
+                    _expected_arrays("count", fingerprint, params),
+                )
+        assert store.stats.write_errors == 2
+        assert store.get("count", failing, params)[2] == "memory"
+        cold = ArtifactStore(directory)
+        assert cold.get("count", failing, params) is None
+        hit = cold.get("count", healthy, params)
+        assert hit is not None and hit[2] == "disk"
+        # The failed puts unlinked their temp files: nothing is left to reap.
+        assert not list(directory.glob("shards/*/*/*.tmp-*"))
+        _assert_store_clean(directory)
+
+    def test_gc_beside_a_paused_writer_keeps_its_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "store"
+        store = ArtifactStore(directory)
+        published = _key_for(1)
+        store.put(*published, _expected_arrays(*published))
+        paused, resume = threading.Event(), threading.Event()
+        link = os.link
+
+        def held_link(source, target):
+            paused.set()
+            resume.wait(timeout=30)
+            link(source, target)
+
+        # Hold the writer between its temp write and its link while gc runs.
+        monkeypatch.setattr(os, "link", held_link)
+        pending = _key_for(0)
+        writer = threading.Thread(
+            target=store.put, args=(*pending, _expected_arrays(*pending))
+        )
+        writer.start()
+        try:
+            assert paused.wait(timeout=30)
+            (temp,) = directory.glob("shards/*/*/*.tmp-*")
+            stats = ArtifactStore(directory).gc()
+            assert temp.exists()
+        finally:
+            resume.set()
+            writer.join(timeout=30)
+        assert stats.removed_files == 0 and stats.kept_entries == 1
+        assert store.stats.write_errors == 0
+        assert not temp.exists()
+        hit = ArtifactStore(directory).get(*pending)
+        assert hit is not None and hit[2] == "disk"
+        _assert_store_clean(directory)
+
+    def test_writes_resume_after_disk_errors_clear(self, tmp_path):
+        directory = tmp_path / "store"
+        store = ArtifactStore(directory)
+        kind, fingerprint, params = _key_for(0)
+        expected = _expected_arrays(kind, fingerprint, params)
+        with faults.injected("store.disk_write"):
+            store.put(kind, fingerprint, params, expected)
+        assert store.stats.write_errors == 1
+        assert ArtifactStore(directory).get(kind, fingerprint, params) is None
+        # With the fault gone, re-persisting the same key publishes it.
+        store.put(kind, fingerprint, params, expected)
+        assert store.stats.write_errors == 1
+        hit = ArtifactStore(directory).get(kind, fingerprint, params)
+        assert hit is not None and hit[2] == "disk"
+        assert np.array_equal(hit[0]["values"], expected["values"])
         _assert_store_clean(directory)

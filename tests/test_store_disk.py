@@ -1,17 +1,20 @@
 """Tests for the write-once disk tier (:mod:`repro.store.disk`).
 
-Covers shard routing, a writer crashing between its temp write and its
-publish (via the ``store.disk_write`` chaos fault in a child process),
-many-process writes on distinct shards, the eviction policy, occupancy
-reporting, and the hyperwedge/predict warm starts.
+Covers shard routing, the ``write_once`` publish primitive, a writer
+crashing between its temp write and its publish (via the
+``store.disk_write`` chaos fault in a child process), a stale-layout reset
+interrupted mid-way, many-process writes on distinct shards, the eviction
+policy, occupancy reporting, and the hyperwedge/predict warm starts.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -27,7 +30,8 @@ from repro.generators import (
 )
 from repro.store import ArtifactStore, EvictionPolicy, shard_of
 from repro.store import codecs
-from repro.store.disk import TEMP_FILE_MAX_AGE
+from repro.store.artifacts import FORMAT_VERSION
+from repro.store.disk import TEMP_FILE_MAX_AGE, write_once
 from repro.store.faults import ENV_FAULTS, encode_env
 from repro.store.serve import EngineServer
 
@@ -66,6 +70,70 @@ class TestSharding:
         assert entry_a.shard == "aa"
 
 
+class TestWriteOncePrimitive:
+    """``write_once`` publishes a name only if it is absent and leaves no temp file."""
+
+    def test_publishes_a_new_name_without_leftovers(self, tmp_path):
+        target = tmp_path / "entry.npz"
+        write_once(target, b"payload")
+        assert target.read_bytes() == b"payload"
+        assert os.listdir(tmp_path) == ["entry.npz"]
+
+    def test_existing_name_keeps_its_bytes_and_inode(self, tmp_path):
+        target = tmp_path / "entry.npz"
+        write_once(target, b"first")
+        before = target.stat()
+        write_once(target, b"second")
+        assert target.read_bytes() == b"first"
+        assert target.stat().st_ino == before.st_ino
+        assert os.listdir(tmp_path) == ["entry.npz"]
+
+    def test_racing_threads_publish_one_complete_copy(self, tmp_path):
+        target = tmp_path / "entry.npz"
+        payloads = [bytes([i]) * 200_000 for i in range(8)]
+        barrier = threading.Barrier(len(payloads))
+        errors = []
+
+        def run(data: bytes) -> None:
+            try:
+                barrier.wait(timeout=30)
+                write_once(target, data)
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=run, args=(data,)) for data in payloads]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert target.read_bytes() in payloads
+        assert os.listdir(tmp_path) == ["entry.npz"]
+
+    def test_file_system_without_hard_links_degrades_to_memory(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "store"
+        store = ArtifactStore(directory)  # manifest published while links work
+
+        def no_links(source, target):
+            raise OSError(errno.EPERM, "hard links not supported", str(target))
+
+        monkeypatch.setattr(os, "link", no_links)
+        store.put("count", FP_A, {"p": 1}, {"values": np.ones(4)})
+        assert store.stats.write_errors == 1
+        assert store.get("count", FP_A, {"p": 1})[2] == "memory"
+        # The temp file went with the failed publish: no entry file is left.
+        assert [path for path in directory.rglob("*") if path.is_file()] == [
+            directory / "manifest.json"
+        ]
+        # A store opened there cannot publish its manifest: memory-only.
+        unlinkable = ArtifactStore(tmp_path / "other")
+        assert unlinkable.disk_error is not None and not unlinkable.persistent
+        monkeypatch.undo()
+        assert ArtifactStore(directory).get("count", FP_A, {"p": 1}) is None
+
+
 #: Child snippet for the crash test (run via ``python -c``). The armed fault
 #: (from REPRO_FAULTS) calls os._exit(3) between the temp write and the link.
 _PUT_CHILD = """
@@ -79,7 +147,8 @@ ArtifactStore(sys.argv[1]).put(
 
 
 class TestCrashSafety:
-    """Kill a writer before it publishes; no reader ever sees its file."""
+    """Kill a writer before it publishes, or a reset mid-way; no reader sees a
+    torn entry, and gc finishes what the dead process left."""
 
     def test_crash_mid_put_leaves_no_visible_entry(self, tmp_path):
         directory = tmp_path / "store"
@@ -108,6 +177,33 @@ class TestCrashSafety:
         assert stats.removed_files == 1 and not temp.exists()
         fresh.put("count", FP_A, {"p": 1}, {"values": np.ones(8)})
         assert ArtifactStore(directory).get("count", FP_A, {"p": 1}) is not None
+
+    @pytest.mark.parametrize("tree", ["shards", "data"])
+    def test_reset_interrupted_after_its_rename_is_finished_by_gc(
+        self, tmp_path, tree
+    ):
+        directory = tmp_path / "store"
+        ArtifactStore(directory).put("count", FP_A, {"p": 1}, {"values": np.ones(4)})
+        legacy = directory / "data" / FP_B
+        legacy.mkdir(parents=True)
+        (legacy / "count-x.npz").write_bytes(b"legacy payload")
+        (directory / "manifest.json").write_text(
+            json.dumps({"format_version": 2}), encoding="utf-8"
+        )
+        # What a reset that died right after renaming one payload tree aside
+        # leaves: the tree under a ``.stale-`` name and the manifest stale.
+        os.rename(directory / tree, directory / ".stale-interrupted")
+        stale = ArtifactStore(directory)
+        assert stale.disk_stale
+        stats = stale.gc()
+        assert stats.removed_entries == 2 and stats.removed_files == 2
+        assert [path.name for path in directory.iterdir()] == ["manifest.json"]
+        manifest = json.loads((directory / "manifest.json").read_text("utf-8"))
+        assert manifest["format_version"] == FORMAT_VERSION
+        assert not stale.disk_stale
+        stale.put("count", FP_A, {"p": 1}, {"values": np.ones(4)})
+        hit = ArtifactStore(directory).get("count", FP_A, {"p": 1})
+        assert hit is not None and hit[2] == "disk"
 
 
 def _distinct_shard_worker(directory: str, worker_id: int, num_ops: int) -> dict:
