@@ -8,8 +8,10 @@ Run against an already-started ``repro-mochy serve`` instance:
 ``--phase cold`` (first server instance, empty store) asserts that
 
 * results arrive **incrementally** in completion order — the batch leads
-  with a deliberately slow profile, so the fast counts' records must arrive
-  first, before the stream is complete;
+  with a profile that the server holds back 2 s (CI starts the cold server
+  with ``REPRO_FAULTS`` arming a ``serve.unit`` sleep keyed on
+  ``contact-primary-like:ProfileSpec``), so the counts' records must arrive
+  first, before the stream is complete, however fast the host;
 * one ``ok`` record arrives per request plus a ``done`` summary;
 * result payloads are **bit-identical** to the ``serve-batch`` serial
   reference in ``--serial`` (volatile timing/provenance fields excluded).
@@ -158,11 +160,11 @@ def main() -> int:
     assert done[0]["ok"] == len(requests) and done[0]["errors"] == 0
 
     if arguments.phase == "cold":
-        # Incremental, completion-ordered streaming: request 0 is the slow
-        # profile (it takes orders of magnitude longer than the counts on a
-        # cold store), so with overlapping workers a fast count record must
-        # arrive before it. On the warm pass every unit is a near-instant
-        # disk hit, so arrival order is not meaningful there.
+        # Incremental, completion-ordered streaming: request 0 is the
+        # profile the cold server holds back 2 s (see the module docstring),
+        # so with overlapping workers a count record must arrive before it.
+        # On the warm pass every unit is a near-instant disk hit, so arrival
+        # order is not meaningful there.
         assert okay[0]["index"] != 0, (
             "the slow profile's record arrived first; streaming does not "
             "follow completion order"

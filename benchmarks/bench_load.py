@@ -136,7 +136,6 @@ def run_load_benchmark(result_path: Path = RESULT_PATH) -> dict:
             port=0,
             store=ArtifactStore(store_dir),
             workers=4,
-            backend="thread",
             max_queue=4 * CLIENTS,
         )
         threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -156,7 +155,6 @@ def run_load_benchmark(result_path: Path = RESULT_PATH) -> dict:
             port=0,
             store=ArtifactStore(store_dir),
             workers=4,
-            backend="thread",
             max_queue=SATURATION_MAX_QUEUE,
         )
         threading.Thread(target=server.serve_forever, daemon=True).start()

@@ -1,13 +1,12 @@
-"""Parallel-serving benchmark: a mixed cold batch, serial vs. process workers.
+"""Parallel-serving benchmark: a mixed cold batch, serial vs. a thread pool.
 
 Simulates the multi-tenant serving path the executor layer was built for: a
 batch of cold requests over several distinct datasets submitted through one
-:class:`~repro.store.serve.EngineServer`, each backend pointed at its own
-fresh store directory. The ``process`` backend with four workers must beat
-the ``serial`` backend by the gate factor **and** return bit-identical
-results — parallelism that changed a single count would be a regression, not
-a speedup. The ``thread`` backend is measured too (informational: its
-speedup depends on how much of the kernels runs outside the GIL). Writes
+:class:`~repro.store.serve.EngineServer`, each run pointed at its own fresh
+store directory. A pool of four threads must beat serial serving by the
+gate factor **and** return bit-identical results — parallelism that changed
+a single count would be a regression, not a speedup. The speedup rests on
+how much of projection and MoCHy-E runs in NumPy outside the GIL. Writes
 ``BENCH_serve.json`` at the repo root so the serving-throughput trajectory
 is tracked from PR to PR. Runnable as a pytest test (asserts the ≥2× gate)
 and as a script (``python benchmarks/bench_serve_parallel.py``).
@@ -37,10 +36,10 @@ NUM_HYPEREDGES = 1200
 MEAN_SIZE = 3.5
 MAX_SIZE = 7
 
-#: Workers for the parallel backends (the gate's configuration).
+#: Threads of the parallel run (the gate's configuration).
 NUM_WORKERS = 4
 
-#: Required speedup of process-parallel over serial execution.
+#: Required speedup of the thread pool over serial execution.
 GATE_SPEEDUP = 2.0
 
 #: Usable cores the ≥2x gate needs before it is meaningful: with four
@@ -77,31 +76,27 @@ def _mixed_batch():
     ]
 
 
-def _run(backend, workers, store_dir: Path):
-    """Serve one cold batch on *backend*; (wall seconds, results)."""
+def _run(workers, store_dir: Path):
+    """Serve one cold batch on *workers* threads; (wall seconds, results)."""
     requests = _mixed_batch()
     server = EngineServer(store=ArtifactStore(store_dir))
     start = time.perf_counter()
-    results = server.submit(requests, workers=workers, backend=backend)
+    results = server.submit(requests, workers=workers)
     return time.perf_counter() - start, results
 
 
 def run_serve_parallel_benchmark(result_path: Path = RESULT_PATH) -> dict:
-    """Measure serial vs. thread vs. process serving of one cold batch."""
+    """Measure serial vs. thread-pool serving of one cold batch."""
     with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
         root = Path(tmp)
-        serial_s, serial_results = _run("serial", 1, root / "serial")
-        thread_s, thread_results = _run("thread", NUM_WORKERS, root / "thread")
-        process_s, process_results = _run("process", NUM_WORKERS, root / "process")
+        serial_s, serial_results = _run(1, root / "serial")
+        thread_s, thread_results = _run(NUM_WORKERS, root / "thread")
 
-    for candidate in (thread_results, process_results):
-        for expected, actual in zip(serial_results, candidate):
-            if not np.array_equal(
-                actual.counts.to_array(), expected.counts.to_array()
-            ):
-                raise AssertionError(
-                    "parallel results diverged from serial; benchmark void"
-                )
+    for expected, actual in zip(serial_results, thread_results):
+        if not np.array_equal(actual.counts.to_array(), expected.counts.to_array()):
+            raise AssertionError(
+                "parallel results diverged from serial; benchmark void"
+            )
 
     payload = {
         "datasets": NUM_DATASETS,
@@ -111,9 +106,7 @@ def run_serve_parallel_benchmark(result_path: Path = RESULT_PATH) -> dict:
         "cpus": usable_cpus(),
         "serial_s": serial_s,
         "thread_s": thread_s,
-        "process_s": process_s,
         "thread_speedup": serial_s / thread_s if thread_s > 0 else float("inf"),
-        "process_speedup": serial_s / process_s if process_s > 0 else float("inf"),
         "gate_speedup": GATE_SPEEDUP,
     }
     result_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -130,12 +123,10 @@ def test_bench_serve_parallel():
         f"mixed cold batch: {payload['datasets']} datasets x exact count "
         f"({payload['edges']} hyperedges each), {payload['workers']} workers "
         f"on {payload['cpus']} cpus",
-        f"{'backend':<10} {'seconds':>9} {'speedup':>9}",
+        f"{'run':<10} {'seconds':>9} {'speedup':>9}",
         f"{'serial':<10} {payload['serial_s']:>9.3f} {'1.0x':>9}",
         f"{'thread':<10} {payload['thread_s']:>9.3f} "
         f"{payload['thread_speedup']:>8.2f}x",
-        f"{'process':<10} {payload['process_s']:>9.3f} "
-        f"{payload['process_speedup']:>8.2f}x",
         "parallel counts verified bit-identical to serial",
     ]
     write_report("bench_serve_parallel", "\n".join(lines))
@@ -146,8 +137,8 @@ def test_bench_serve_parallel():
             f"speedup gate needs >= {GATE_MIN_CPUS} usable cpus, "
             f"have {payload['cpus']}"
         )
-    assert payload["process_speedup"] >= GATE_SPEEDUP, (
-        f"process backend speedup {payload['process_speedup']:.2f}x "
+    assert payload["thread_speedup"] >= GATE_SPEEDUP, (
+        f"thread pool speedup {payload['thread_speedup']:.2f}x "
         f"below the {GATE_SPEEDUP}x gate"
     )
 

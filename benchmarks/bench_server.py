@@ -71,9 +71,7 @@ def _serve_one_batch(store_dir: Path, dataset_path: Path):
     Server startup is excluded from the timing — the measured quantity is
     batch latency against a running service, cold store vs. warm store.
     """
-    server = build_server(
-        port=0, store=ArtifactStore(store_dir), workers=2, backend="thread"
-    )
+    server = build_server(port=0, store=ArtifactStore(store_dir), workers=2)
     loop = threading.Thread(target=server.serve_forever, daemon=True)
     loop.start()
     try:

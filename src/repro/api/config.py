@@ -494,8 +494,8 @@ class VarianceSpec:
 
 # ---------------------------------------------------------- spec serialization
 #: Registry of spec classes by their wire-format ``type`` tag. This is what
-#: lets specs travel as plain dicts — to process workers of the parallel
-#: serving executor and through the ``serve-batch`` CLI's JSONL request files.
+#: lets specs travel as plain dicts — through the ``serve-batch`` CLI's JSONL
+#: request files and the HTTP service's request bodies.
 SPEC_TYPES: Dict[str, type] = {
     "count": CountSpec,
     "profile": ProfileSpec,
@@ -545,7 +545,7 @@ def spec_to_dict(spec) -> Dict[str, Any]:
     The inverse of :func:`spec_from_dict`; every payload is stamped with
     the current :data:`SPEC_VERSION`. Field values are kept as-is (they
     are JSON types for every replayable spec; a non-replayable ``Generator``
-    seed survives pickling to process workers but not JSON).
+    seed does not survive JSON).
     """
     cls = type(spec)
     try:

@@ -7,8 +7,10 @@ straight from the projection. Running ``count()`` then ``profile()`` then
 ``compare()`` on the same engine therefore projects exactly once, where the
 legacy free functions
 re-projected per call. Deterministic results (exact counts, seeded sampling
-runs) are additionally memoized per spec, so a profile reuses the counts of a
-previous ``count()`` with the same configuration.
+runs) are additionally memoized per spec, up to :data:`MEMO_ENTRIES` recent
+ones, so a profile reuses the counts of a previous ``count()`` with the same
+configuration. One engine serves any number of concurrent calls: the shared
+artifacts are built once, under the engine's lock, and only read after.
 
 The engine is the single place where a run's strategy is chosen: a
 :class:`~repro.api.CountSpec` chooses the algorithm, the number of worker
@@ -37,6 +39,8 @@ from __future__ import annotations
 
 import bisect
 import copy
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from numbers import Integral
 from typing import (
@@ -104,7 +108,7 @@ from repro.projection.lazy import LazyProjection
 from repro.projection.projected_graph import ProjectedGraph
 from repro.randomization.null_model import NullModelCounts, random_motif_counts
 from repro.store import codecs
-from repro.store.artifacts import ArtifactStore, resolve_store
+from repro.store.artifacts import DEFAULT_MEMORY_ITEMS, ArtifactStore, resolve_store
 from repro.store.fingerprint import delta_digest, lineage_fingerprint
 from repro.utils.timer import Timer
 
@@ -113,6 +117,10 @@ EngineSource = Union[Hypergraph, TemporalHypergraph]
 #: A store key's fingerprint: ``None`` (the static fingerprint), a string,
 #: or a callable computing it only when a store is attached.
 _StoreKey = Union[None, str, Callable[[], str]]
+
+#: Entries each result memo (exact/seeded counts, null-model means) keeps,
+#: least recently used out first — the store memory tier's default size.
+MEMO_ENTRIES = DEFAULT_MEMORY_ITEMS
 
 EVOLVE_SNAPSHOTS_TOTAL = obs_metrics.counter(
     "repro_evolve_snapshots_total",
@@ -189,6 +197,18 @@ class MotifEngine:
         :class:`~repro.store.ArtifactStore` is used as given. Only
         deterministic artifacts (the full projection, exact or integer-seeded
         results) are stored, so cached and cold paths stay bit-identical.
+
+    An engine is safe for concurrent calls, the way the paper's parallel
+    MoCHy runs independent units over one shared projected graph (§3.4).
+    Its shared artifacts — the full projection and, for a temporal engine,
+    the static hypergraph — are built once under the engine's one lock:
+    concurrent first callers wait for the winner and then read what it
+    published. Everything else a call touches is its own (a lazy
+    projection, an evolution chain's state, a prediction's classifiers) or
+    read-only, except the two memos, which are read, filled and trimmed
+    under the same lock with whole results; the attached store has its own
+    lock. Two concurrent identical calls that miss both memo and store both
+    compute (the result is the same).
     """
 
     def __init__(
@@ -210,9 +230,12 @@ class MotifEngine:
             )
         self._projection = projection
         self._projection_builds = 0
-        self._count_cache: Dict[CountSpec, CountResult] = {}
-        self._null_cache: Dict[Tuple, NullModelCounts] = {}
+        self._count_cache: OrderedDict[CountSpec, CountResult] = OrderedDict()
+        self._null_cache: OrderedDict[Tuple, NullModelCounts] = OrderedDict()
         self._store = resolve_store(store)
+        # Guards the once-built artifacts, the build counter and the memos;
+        # never held across a call that takes it again.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -279,9 +302,10 @@ class MotifEngine:
         Only this engine's private caches are cleared; an attached artifact
         store keeps its entries (use :meth:`ArtifactStore.gc` to reclaim it).
         """
-        self._projection = None
-        self._count_cache.clear()
-        self._null_cache.clear()
+        with self._lock:
+            self._projection = None
+            self._count_cache.clear()
+            self._null_cache.clear()
 
     # ------------------------------------------------------------------- count
     def count(self, spec: Optional[CountSpec] = None) -> CountResult:
@@ -300,7 +324,7 @@ class MotifEngine:
             spec.is_exact or _is_deterministic_seed(spec.seed)
         ) and not spec.include_instances
         if cacheable:
-            cached, tier = self._count_cache.get(spec), CACHE_TIER_ENGINE
+            cached, tier = self._memo_get(self._count_cache, spec), CACHE_TIER_ENGINE
             if cached is None:
                 stored = self._load(
                     codecs.KIND_COUNT, codecs.count_params(spec), _decode_counts
@@ -309,7 +333,7 @@ class MotifEngine:
                     # Seed the in-process memo so later calls skip the store.
                     counts, meta, tier = stored
                     num_samples = meta.get("num_samples")
-                    cached = self._count_cache[spec] = CountResult(
+                    cached = CountResult(
                         dataset=self._static().name,
                         algorithm=spec.algorithm,
                         counts=counts,
@@ -319,6 +343,7 @@ class MotifEngine:
                         projection_cached=True,
                         projection_mode=spec.projection,
                     )
+                    self._memo_put(self._count_cache, spec, cached)
             if cached is not None:
                 # Nothing ran during this call: report zero timings and mark
                 # the hit instead of replaying the original run's metadata.
@@ -362,7 +387,9 @@ class MotifEngine:
         if cacheable:
             # Memoize a private copy; the caller's result stays mutable
             # without aliasing the cache.
-            self._count_cache[spec] = replace(result, counts=_copy_counts(counts))
+            self._memo_put(
+                self._count_cache, spec, replace(result, counts=_copy_counts(counts))
+            )
             self._save(
                 codecs.KIND_COUNT,
                 codecs.count_params(spec),
@@ -896,7 +923,7 @@ class MotifEngine:
         )
         cacheable = _is_deterministic_seed(spec.seed)
         if cacheable:
-            cached = self._null_cache.get(key)
+            cached = self._memo_get(self._null_cache, key)
             if cached is not None:
                 return _copy_counts(cached.mean_counts), CACHE_TIER_ENGINE
             stored = self._load(
@@ -904,7 +931,7 @@ class MotifEngine:
             )
             if stored is not None:
                 null, _, tier = stored
-                self._null_cache[key] = null
+                self._memo_put(self._null_cache, key, null)
                 return _copy_counts(null.mean_counts), tier
         null = random_motif_counts(
             self._static(),
@@ -915,13 +942,29 @@ class MotifEngine:
             seed=spec.seed,
         )
         if cacheable:
-            self._null_cache[key] = null
+            self._memo_put(self._null_cache, key, null)
             self._save(
                 codecs.KIND_NULL,
                 codecs.null_params(spec),
                 lambda: codecs.encode_null_counts(null),
             )
         return _copy_counts(null.mean_counts), None
+
+    def _memo_get(self, memo: OrderedDict, key):
+        """*key*'s memo entry (now the most recent), or ``None``."""
+        with self._lock:
+            value = memo.get(key)
+            if value is not None:
+                memo.move_to_end(key)
+            return value
+
+    def _memo_put(self, memo: OrderedDict, key, value) -> None:
+        """Memoize a finished *value*, evicting beyond :data:`MEMO_ENTRIES`."""
+        with self._lock:
+            memo[key] = value
+            memo.move_to_end(key)
+            while len(memo) > MEMO_ENTRIES:
+                memo.popitem(last=False)
 
     # ------------------------------------------------------------- store layer
     def _load(
@@ -1001,38 +1044,51 @@ class MotifEngine:
         return (stamps[0], stamps[-2]), (stamps[-1], stamps[-1])
 
     def _static(self) -> Hypergraph:
+        """The static hypergraph; a temporal engine windows it once."""
         if self._hypergraph is None:
-            stamps = self._temporal.timestamps()
-            if not stamps:
-                raise SpecError("the bound temporal hypergraph is empty")
-            self._hypergraph = self._temporal.window(stamps[0], stamps[-1])
+            with self._lock:
+                if self._hypergraph is None:
+                    stamps = self._temporal.timestamps()
+                    if not stamps:
+                        raise SpecError("the bound temporal hypergraph is empty")
+                    self._hypergraph = self._temporal.window(stamps[0], stamps[-1])
         return self._hypergraph
 
     def _ensure_projection(self) -> Tuple[ProjectedGraph, float, bool]:
-        """(projection, seconds spent building it now, served-from-cache)."""
-        if self._projection is not None:
-            return self._projection, 0.0, True
-        stored = self._load(
-            codecs.KIND_PROJECTION,
-            codecs.projection_params(),
-            lambda arrays, meta: codecs.decode_projection(
-                arrays, meta, self._static().num_hyperedges
-            ),
-        )
-        if stored is not None:
-            # Served, not built: no build counted, load time rounds to the
-            # cache-hit contract (projection_seconds == 0).
-            self._projection = stored[0]
-            return self._projection, 0.0, True
-        with Timer() as timer:
-            self._projection = project(self._static())
-        self._projection_builds += 1
-        self._save(
-            codecs.KIND_PROJECTION,
-            codecs.projection_params(),
-            lambda: codecs.encode_projection(self._projection),
-        )
-        return self._projection, timer.elapsed, False
+        """(projection, seconds spent building it now, served-from-cache).
+
+        Loaded or built once: concurrent first callers wait on the engine
+        lock, then find the projection the first one published.
+        """
+        projection = self._projection
+        if projection is not None:
+            return projection, 0.0, True
+        hypergraph = self._static()
+        with self._lock:
+            projection = self._projection
+            if projection is not None:
+                return projection, 0.0, True
+            stored = self._load(
+                codecs.KIND_PROJECTION,
+                codecs.projection_params(),
+                lambda arrays, meta: codecs.decode_projection(
+                    arrays, meta, hypergraph.num_hyperedges
+                ),
+            )
+            if stored is not None:
+                # Served, not built: no build counted, load time rounds to
+                # the cache-hit contract (projection_seconds == 0).
+                self._projection = stored[0]
+                return self._projection, 0.0, True
+            with Timer() as timer:
+                projection = self._projection = project(hypergraph)
+            self._projection_builds += 1
+            self._save(
+                codecs.KIND_PROJECTION,
+                codecs.projection_params(),
+                lambda: codecs.encode_projection(projection),
+            )
+        return projection, timer.elapsed, False
 
     def _counting_projection(self, spec: CountSpec):
         if spec.projection == PROJECTION_LAZY:

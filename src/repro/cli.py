@@ -31,8 +31,7 @@ Sub-commands
 ``serve-batch``
     Serve a JSONL file of requests (one ``{"source": ..., "spec": {...}}``
     object per line) through the batched :class:`repro.store.EngineServer`,
-    optionally fanned out across thread or process workers
-    (``--workers N --backend thread|process``).
+    optionally overlapping its units on a pool of threads (``--workers N``).
 ``serve``
     Run the HTTP motif service (:mod:`repro.store.server`): a long-lived
     engine server with a persistent worker pool behind ``POST /v1/batch``
@@ -79,22 +78,14 @@ from repro.utils.logging import LOG_LEVEL_NAMES, enable_console_logging
 
 
 def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the serving-executor options (--workers/--backend)."""
-    from repro.store.executors import SERVE_BACKENDS
-
+    """Attach the serving-executor option (--workers)."""
     parser.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="N",
-        help="how many requests of the batch may run concurrently",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=SERVE_BACKENDS,
-        default=None,
-        help="serving executor: 'serial', 'thread' (default with --workers > 1) "
-        "or 'process' (real CPU parallelism; workers share the store directory)",
+        help="how many requests of the batch may run concurrently, on a "
+        "pool of threads over the shared engines",
     )
 
 
@@ -789,12 +780,7 @@ def _run_cache_warm(store: ArtifactStore, arguments) -> None:
     try:
         # One batch over all datasets, so --workers overlaps whole datasets
         # (the unit of cold work) rather than specs within one.
-        results = server.warm(
-            arguments.datasets,
-            specs,
-            workers=arguments.workers,
-            backend=arguments.backend,
-        )
+        results = server.warm(arguments.datasets, specs, workers=arguments.workers)
     except (DatasetError, SpecError) as error:
         raise CLIError(str(error)) from error
     for index, dataset in enumerate(arguments.datasets):
@@ -835,7 +821,6 @@ def _run_serve(arguments) -> None:
             port=port,
             store=_serve_store_argument(arguments),
             workers=arguments.workers,
-            backend=arguments.backend,
             max_engines=arguments.max_engines,
             max_batch=(
                 http_server.DEFAULT_MAX_BATCH
@@ -944,9 +929,7 @@ def _run_serve_batch(arguments) -> None:
     requests = _read_serve_requests(arguments.requests)
     server = EngineServer(store=_store_argument(arguments))
     try:
-        results = server.submit(
-            requests, workers=arguments.workers, backend=arguments.backend
-        )
+        results = server.submit(requests, workers=arguments.workers)
     except DatasetError as error:
         raise CLIError(str(error)) from error
     if arguments.json:

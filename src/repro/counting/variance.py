@@ -112,14 +112,19 @@ def compute_overlap_statistics(
 def edge_sampling_variance(
     statistics: OverlapStatistics, motif: int, num_samples: int
 ) -> float:
-    """Theoretical variance of the MoCHy-A estimate for *motif* (Theorem 2, Eq. 5)."""
+    """Theoretical variance of the MoCHy-A estimate for *motif* (Theorem 2, Eq. 5).
+
+    ``M(|E|-3)/(3s) + (2/(9s)) Σ_l p_l (l|E| - 9)``. The factor 2 is there
+    because ``p_l`` counts *unordered* pairs of instances, while the
+    variance of a sampled hyperedge's instance count sums over ordered ones.
+    """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
     count = statistics.counts[motif]
     num_edges = statistics.num_hyperedges
     shares = statistics.pairs_sharing_edges[motif]
     first = count * (num_edges - 3) / (3.0 * num_samples)
-    second = sum(
+    second = 2.0 * sum(
         shares[l] * (l * num_edges - 9) for l in (0, 1, 2)
     ) / (9.0 * num_samples)
     return first + second
@@ -128,22 +133,22 @@ def edge_sampling_variance(
 def wedge_sampling_variance(
     statistics: OverlapStatistics, motif: int, num_samples: int
 ) -> float:
-    """Theoretical variance of the MoCHy-A+ estimate for *motif* (Theorem 4, Eq. 7/8)."""
+    """Theoretical variance of the MoCHy-A+ estimate for *motif* (Theorem 4, Eq. 7/8).
+
+    ``M(|∧|-k)/(kr) + (2/(k²r)) Σ_n q_n (n|∧| - k²)``, where an instance
+    holds ``k = 2`` hyperwedges for open motifs and ``k = 3`` for closed
+    ones; the factor 2 turns the unordered pairs ``q_n`` into ordered ones.
+    """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
     count = statistics.counts[motif]
     num_wedges = statistics.num_hyperwedges
     shares = statistics.pairs_sharing_wedges[motif]
-    if motif_is_open(motif):
-        first = count * (num_wedges - 2) / (2.0 * num_samples)
-        second = sum(
-            shares[n] * (n * num_wedges - 4) for n in (0, 1)
-        ) / (4.0 * num_samples)
-    else:
-        first = count * (num_wedges - 3) / (3.0 * num_samples)
-        second = sum(
-            shares[n] * (n * num_wedges - 9) for n in (0, 1)
-        ) / (9.0 * num_samples)
+    k = 2 if motif_is_open(motif) else 3
+    first = count * (num_wedges - k) / (k * num_samples)
+    second = 2.0 * sum(
+        shares[n] * (n * num_wedges - k * k) for n in (0, 1)
+    ) / (k * k * num_samples)
     return first + second
 
 

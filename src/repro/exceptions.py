@@ -81,8 +81,8 @@ class ServeError(ReproError):
 
     Streaming callers that opt into error capture receive structured
     :class:`repro.store.executors.UnitFailure` records instead; everyone
-    else gets this — e.g. a worker process dying mid-batch or a unit
-    exceeding its deadline outside the HTTP service's capture mode.
+    else gets this — e.g. a unit exceeding its deadline outside the HTTP
+    service's capture mode.
     """
 
 

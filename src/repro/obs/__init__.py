@@ -13,11 +13,9 @@ through:
     A contextvar-propagated request id plus structured JSON event logging on
     the ``repro`` logger namespace: :class:`~repro.store.client.ServiceClient`
     injects an ``X-Request-Id`` header, the HTTP handler opens a
-    :func:`~repro.obs.trace.trace` context, and the id rides serving units —
-    across thread pools explicitly and across the process-worker pickle
-    boundary via :class:`~repro.store.executors.WorkerPayload` — so one
-    request can be followed from the client through the executors into the
-    store tiers.
+    :func:`~repro.obs.trace.trace` context, and the id rides serving units
+    into the worker pool's threads explicitly — so one request can be
+    followed from the client through the executors into the store tiers.
 
 Instrumentation is gated on :func:`~repro.obs.metrics.set_enabled`; the
 disabled fast path is one attribute check per call site, benchmarked by

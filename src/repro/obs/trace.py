@@ -5,11 +5,9 @@ opens ``trace(request_id)`` around each request; everything that runs in that
 context (parsing, admission, ``submit_stream``, store lookups on the handler
 thread) sees the id via :func:`current_request_id`.
 
-contextvars do **not** flow into pool workers, so the two executor paths bind
-the id explicitly: thread-backend units capture it into their closures at
-build time (``EngineServer._make_unit``) and process-backend units carry it in
-``WorkerPayload.request_id`` across the pickle boundary, where
-``execute_payload`` re-enters ``trace``.
+contextvars do **not** flow into pool threads, so the executor binds the id
+explicitly: :func:`repro.store.executors.stream_units` captures it when it
+submits a unit and re-enters ``trace`` with it on the worker thread.
 
 Structured events are single JSON lines (sorted keys, ``event`` plus
 ``request_id`` when one is set) emitted through the ``repro`` logger

@@ -60,7 +60,6 @@ __all__ = [
     "MotifHTTPServer",
     "ServiceClient",
     "build_server",
-    "SERVE_BACKENDS",
     "default_store",
     "reset_default_store",
     "resolve_store",
@@ -87,7 +86,7 @@ def __getattr__(name: str):
         from repro.store import serve
 
         return getattr(serve, name)
-    if name in ("SERVE_BACKENDS", "WorkerPool", "UnitFailure"):
+    if name in ("WorkerPool", "UnitFailure"):
         from repro.store import executors
 
         return getattr(executors, name)

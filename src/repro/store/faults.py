@@ -1,11 +1,11 @@
 """Fault injection points for chaos-testing the serving and store stack.
 
 Failure paths are first-class design surface in this codebase — the store
-degrades to its memory tier when the disk misbehaves, the worker pool
-survives a crashed process, the HTTP service sheds load with structured
-429s — but such paths are unreachable from ordinary tests without either
-monkeypatching internals (fragile, and useless across a process boundary)
-or real fault hardware. This module gives the production code *named
+degrades to its memory tier when the disk misbehaves, a slow unit times out
+alone, the HTTP service sheds load with structured 429s — but such paths
+are unreachable from ordinary tests without either monkeypatching
+internals (fragile, and useless across a process boundary) or real fault
+hardware. This module gives the production code *named
 injection points* instead: each hardened code path asks the registry
 "should I fail here?" and the chaos suite arms exactly the failure it wants
 to observe. When nothing is armed — the production case — the check is one
@@ -21,12 +21,9 @@ Injection points currently wired (each named ``layer.event``):
                              the degrade-to-memory write path; ``crash`` mode
                              leaves an unpublished temp file, which no reader
                              sees and gc reaps once it is old.
-``serve.unit``               :func:`dispatch_spec` — every execution backend —
-                             can sleep (slow unit) or raise (failing unit). The
+``serve.unit``               :func:`dispatch_spec` — every served unit — can
+                             sleep (slow unit) or raise (failing unit). The
                              key is ``"<dataset>:<SpecType>"``.
-``worker.unit``              :func:`execute_payload`, in the worker process:
-                             ``crash`` mode kills the worker with ``os._exit``,
-                             simulating a segfault/OOM-kill mid-batch.
 ``server.drop_connection``   The HTTP handler closes the connection before
                              writing any response, exercising client retries.
 ===========================  =====================================================
@@ -34,13 +31,13 @@ Injection points currently wired (each named ``layer.event``):
 Faults are armed either **in-process** via :func:`inject` (or the
 :func:`injected` context manager), or **cross-process** via the
 :data:`ENV_FAULTS` environment variable — a JSON object mapping point names
-to fault fields — which forked/spawned worker processes inherit. An
+to fault fields — which child processes inherit (a ``repro-mochy serve``
+started by a smoke script, the store's multi-process writers). An
 environment fault cannot decrement a shared ``times`` counter across
 processes, so one-shot semantics there use ``once_path``: a latch file
 created atomically (``O_CREAT | O_EXCL``) by whichever process fires first;
-every later match sees the latch and stays quiet. That is what lets a chaos
-test crash a process worker *exactly once* and then watch the respawned
-worker serve the retry.
+every later match sees the latch and stays quiet, so a fault armed for a
+whole process tree fires *exactly once*.
 
 Modes
 -----
@@ -69,7 +66,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Mapping, Optional
 
 #: Environment variable carrying cross-process fault specs (JSON object
-#: mapping point name -> fault fields), inherited by worker processes.
+#: mapping point name -> fault fields), inherited by child processes.
 ENV_FAULTS = "REPRO_FAULTS"
 
 #: Accepted fault modes (see the module docstring).
@@ -181,9 +178,9 @@ def encode_env(faults: Mapping[str, Mapping[str, Any]]) -> str:
     """Render fault specs into the :data:`ENV_FAULTS` wire form.
 
     ``faults`` maps point names to :class:`Fault` field mappings, e.g.
-    ``{"worker.unit": {"mode": "crash", "once_path": "/tmp/latch"}}``.
+    ``{"store.disk_write": {"mode": "crash", "once_path": "/tmp/latch"}}``.
     Specs are validated here so a typo fails the test arming the fault, not
-    silently in a worker process.
+    silently in a child process.
     """
     for point, fields in faults.items():
         Fault(point=point, **dict(fields))  # validate eagerly

@@ -14,15 +14,13 @@ order.
 Every batch runs through one path. :meth:`EngineServer.submit_stream`
 hands the deduplicated units to :func:`~repro.store.executors.stream_units`
 and yields each outcome as it completes; :meth:`EngineServer.submit` is that
-stream collected into request order. The default ``serial`` backend runs
-units in the calling thread; ``thread`` overlaps units of a batch on a
-thread pool over the shared engine pool; ``process`` ships CSR arrays +
-spec dicts to worker processes for real CPU parallelism, with every worker
-persisting into the same store directory (made safe by the store's
-interprocess write locking). The pool is the server's persistent
-:class:`~repro.store.executors.WorkerPool` when the caller names no worker
-count, and otherwise one opened for the batch alone, no wider than the
-batch. Parallel result *payloads* — counts, profiles, comparison rows — are
+stream collected into request order. Units run in-process on the pooled
+engines: serially in the calling thread, or on a thread
+:class:`~repro.store.executors.WorkerPool` — the server's persistent pool
+when the caller names no worker count, and otherwise one opened for the
+batch alone, no wider than the batch. Engines are safe for concurrent calls,
+so units on one dataset overlap as freely as units on different ones.
+Parallel result *payloads* — counts, profiles, comparison rows — are
 **bit-identical** to serial ones for exact and integer-seeded specs;
 cache-provenance metadata (``from_cache``/``cache_tier``) can differ when
 units of one batch share work, because which unit computes first is
@@ -36,7 +34,7 @@ scheduling-dependent.
 ...     ServeRequest("email-enron-like", CountSpec()),
 ...     ServeRequest("email-enron-like", CountSpec()),          # deduplicated
 ...     ServeRequest("contact-primary-like", ProfileSpec(num_random=3, seed=0)),
-... ], workers=4, backend="process")
+... ], workers=4)
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ from repro.api.config import (
     ProfileSpec,
     VarianceSpec,
     spec_from_dict,
-    spec_to_dict,
 )
 from repro.api.engine import MotifEngine
 from repro.api.registry import DEFAULT_REGISTRY, DatasetRegistry
@@ -83,19 +80,16 @@ from repro.hypergraph.builders import TemporalHypergraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.motifs.counts import MotifCounts
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import current_request_id, log_event
+from repro.obs.trace import log_event
 from repro.store.artifacts import ArtifactStore, resolve_store
 from repro.store.executors import (
     FAILURE_TIMEOUT,
-    FAILURE_WORKER_CRASH,
-    SERVE_BACKEND_SERIAL,
     ServeUnit,
     UnitFailure,
-    WorkerPayload,
     WorkerPool,
+    check_workers,
     dispatch_spec,
     ensure_servable_spec,
-    resolve_backend,
     stream_units,
 )
 from repro.utils.logging import get_logger
@@ -129,8 +123,7 @@ SERVE_UNIT_FAILURES_TOTAL = obs_metrics.counter(
 )
 SERVE_UNIT_SECONDS = obs_metrics.histogram(
     "repro_serve_unit_seconds",
-    "Engine-local execution latency of one unit (serial/thread backends), "
-    "by spec type.",
+    "Execution latency of one unit on its pooled engine, by spec type.",
     ("spec",),
 )
 SERVE_CACHE_TIER_TOTAL = obs_metrics.counter(
@@ -218,10 +211,8 @@ class ServeStats:
     and not yet fully resolved — streamed batches stay in flight until their
     last unit is yielded); ``unit_failures`` counts units whose failure was
     captured for an error-tolerant stream rather than raised.
-    ``unit_timeouts`` and ``worker_crashes`` break two transient failure
-    classes out of that total: units that exceeded their batch deadline and
-    units lost to a dead process worker (both also counted in
-    ``unit_failures``).
+    ``unit_timeouts`` breaks the transient failures out of that total: units
+    that exceeded their batch deadline (also counted in ``unit_failures``).
     """
 
     requests: int = 0
@@ -233,7 +224,6 @@ class ServeStats:
     in_flight: int = 0
     unit_failures: int = 0
     unit_timeouts: int = 0
-    worker_crashes: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -246,7 +236,6 @@ class ServeStats:
             "in_flight": self.in_flight,
             "unit_failures": self.unit_failures,
             "unit_timeouts": self.unit_timeouts,
-            "worker_crashes": self.worker_crashes,
         }
 
 
@@ -268,15 +257,15 @@ class EngineServer:
         evicted, their computed artifacts surviving in the shared store.
     pool:
         An optional persistent :class:`~repro.store.executors.WorkerPool`.
-        When given, batches submitted without explicit ``workers``/``backend``
-        arguments run on the pool's long-lived workers — the reuse a
+        When given, batches submitted without an explicit ``workers``
+        count run on the pool's long-lived threads — the reuse a
         continuously-serving front-end needs — and :meth:`close` shuts the
         pool down with the server.
 
     The server is thread-safe: overlapping batches (one per HTTP handler
-    thread, and the thread backend's workers) share the engine pool under a
-    lock, and each engine executes one unit at a time so its internal
-    caches never race.
+    thread, and the pool's threads) share the engine pool under a lock, and
+    any number of units may run on one engine at once
+    (:class:`~repro.api.MotifEngine` is safe for concurrent calls).
     """
 
     def __init__(
@@ -297,7 +286,6 @@ class EngineServer:
         self._max_engines = int(max_engines)
         self._worker_pool = pool
         self._engines: "OrderedDict[object, MotifEngine]" = OrderedDict()
-        self._engine_locks: Dict[object, threading.Lock] = {}
         self._pool_lock = threading.RLock()
         self.stats = ServeStats()
 
@@ -320,27 +308,21 @@ class EngineServer:
 
     # ----------------------------------------------------------------- serving
     def _batch_pool(
-        self, workers: Optional[int], backend: Optional[str], num_units: int
+        self, workers: Optional[int], num_units: int
     ) -> Optional[WorkerPool]:
-        """Validate a batch's ``(workers, backend)``; the pool that runs it.
+        """Validate a batch's ``workers``; the pool that runs it.
 
         ``workers=None`` means "the server's choice": the persistent pool
-        when one is configured (and *backend* is omitted or matches it),
-        serial execution (``None``) otherwise. An explicit ``workers`` count
-        is a cap the caller must get, not the persistent pool's width: it
-        gets a pool for this batch alone, no wider than the batch, which the
-        batch closes when it ends. A width of one runs serially, on the
-        pooled engines.
+        when one is configured, serial execution (``None``) otherwise. An
+        explicit ``workers`` count is a cap the caller must get, not the
+        persistent pool's width: it gets a pool for this batch alone, no
+        wider than the batch, which the batch closes when it ends. A width
+        of one runs serially, on the pooled engines.
         """
-        shared = self._worker_pool
-        if workers is None and shared is not None and backend in (None, shared.backend):
-            return shared
-        workers = 1 if workers is None else workers
-        backend = resolve_backend(backend, workers)
-        width = min(workers, num_units)
-        if backend == SERVE_BACKEND_SERIAL or width <= 1:
-            return None
-        return WorkerPool(backend, width)
+        if workers is None:
+            return self._worker_pool
+        width = min(check_workers(workers), num_units)
+        return WorkerPool(width) if width > 1 else None
 
     def _normalize_batch(
         self,
@@ -388,12 +370,11 @@ class EngineServer:
         self,
         requests: Iterable[Union[ServeRequest, Tuple[ServeSource, ServeSpec]]],
         workers: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> List[EngineResult]:
         """Serve a batch, one typed result per request, in request order.
 
         This is :meth:`submit_stream` collected into request order: the same
-        dedup, backends and validation, and the first failure raises.
+        dedup, pools and validation, and the first failure raises.
         Identical ``(dataset, spec)`` pairs are computed once per batch;
         every slot receives its own defensive copy of the result. Plain
         ``(source, spec)`` tuples are accepted alongside
@@ -405,21 +386,17 @@ class EngineServer:
             How many units of the deduplicated batch may run concurrently.
             ``None`` (default) runs on the server's persistent pool when one
             is configured, serially otherwise; an explicit count opens a
-            pool for this batch alone, no wider than the batch.
-        backend:
-            ``"serial"`` (default for one worker), ``"thread"`` (default for
-            several) or ``"process"`` — see :mod:`repro.store.executors`.
-            Results are bit-identical across backends for exact and
+            pool of threads for this batch alone, no wider than the batch.
+            Results are bit-identical to serial ones for exact and
             integer-seeded specs.
         """
-        outcomes = dict(self.submit_stream(requests, workers=workers, backend=backend))
+        outcomes = dict(self.submit_stream(requests, workers=workers))
         return [outcomes[index] for index in range(len(outcomes))]
 
     def submit_stream(
         self,
         requests: Iterable[Union[ServeRequest, Tuple[ServeSource, ServeSpec]]],
         workers: Optional[int] = None,
-        backend: Optional[str] = None,
         capture_errors: bool = False,
         timeout: Optional[float] = None,
     ) -> Iterator[Tuple[int, Union[EngineResult, UnitFailure]]]:
@@ -442,10 +419,8 @@ class EngineServer:
         *timeout* bounds the whole batch in seconds: units still unfinished
         when the budget runs out resolve to structured ``UnitTimeout``
         failure records while already-finished units stream normally — the
-        batch degrades per-unit instead of hanging. Units lost to a dead
-        process worker likewise resolve to ``WorkerCrashed`` records, and
-        the pool respawns for the next batch. Both record types are
-        transient, so they are marked ``retryable`` for clients; without
+        batch degrades per-unit instead of hanging. Timeouts are transient,
+        so they are marked ``retryable`` for clients; without
         ``capture_errors`` they raise :class:`~repro.exceptions.ServeError`
         instead (the stream has no other way to report a unit it lost).
 
@@ -464,7 +439,7 @@ class EngineServer:
             for request in unique.values()
         ]
         deadline = None if timeout is None else time.monotonic() + timeout
-        pool = self._batch_pool(workers, backend, len(units))
+        pool = self._batch_pool(workers, len(units))
         self._begin_batch(len(normalized), len(unique))
         try:
             for unit_index, outcome in stream_units(units, pool, deadline):
@@ -473,8 +448,6 @@ class EngineServer:
                         self.stats.unit_failures += 1
                         if outcome.error_type == FAILURE_TIMEOUT:
                             self.stats.unit_timeouts += 1
-                        elif outcome.error_type == FAILURE_WORKER_CRASH:
-                            self.stats.worker_crashes += 1
                     SERVE_UNIT_FAILURES_TOTAL.inc(type=outcome.error_type)
                     log_event(
                         LOGGER,
@@ -484,7 +457,7 @@ class EngineServer:
                         retryable=outcome.retryable,
                     )
                     if not capture_errors:
-                        # Deadline/crash records exist even without capture
+                        # Deadline records exist even without capture
                         # mode (the loop cannot raise them usefully from a
                         # stream); surface them as the batch's failure.
                         raise ServeError(
@@ -510,14 +483,11 @@ class EngineServer:
         sources: Sequence[ServeSource],
         spec: Optional[CountSpec] = None,
         workers: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> List[CountResult]:
         """Convenience: one count per source with a shared spec."""
         spec = CountSpec() if spec is None else spec
         return self.submit(
-            [ServeRequest(source, spec) for source in sources],
-            workers=workers,
-            backend=backend,
+            [ServeRequest(source, spec) for source in sources], workers=workers
         )
 
     def warm(
@@ -525,14 +495,12 @@ class EngineServer:
         sources: Sequence[ServeSource],
         specs: Optional[Sequence[ServeSpec]] = None,
         workers: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> List[EngineResult]:
         """Pre-populate the shared store (projection + exact counts by default)."""
         specs = [CountSpec()] if specs is None else list(specs)
         return self.submit(
             [ServeRequest(source, spec) for source in sources for spec in specs],
             workers=workers,
-            backend=backend,
         )
 
     def evolve_stream(
@@ -542,28 +510,16 @@ class EngineServer:
 
         The spec is validated and the chain resolved *before* the first
         snapshot is yielded (so the HTTP route can turn a bad spec into a
-        4xx instead of a torn stream), and the dataset's pooled engine is
-        held for the duration of the stream — exactly the one-unit-at-a-time
-        contract batch units run under. Warm chains are served straight from
-        the shared store's lineage artifacts.
+        4xx instead of a torn stream). The chain runs on the dataset's
+        pooled engine, alongside any batch units on it; warm chains are
+        served straight from the shared store's lineage artifacts.
         """
         spec = EvolveSpec() if spec is None else spec
         if not isinstance(spec, EvolveSpec):
             raise SpecError(
                 f"evolve_stream needs an EvolveSpec, got {type(spec).__name__}"
             )
-        key = self._source_key(source)
-        engine = self.engine_for(source)
-        lock = self._engine_lock(key)
-        with lock:
-            iterator = engine.evolve_iter(spec)
-
-        def stream() -> Iterator[EvolutionSnapshot]:
-            with lock:
-                for snapshot in iterator:
-                    yield snapshot
-
-        return stream()
+        return self.engine_for(source).evolve_iter(spec)
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -603,12 +559,6 @@ class EngineServer:
             self.stats.engines_built += 1
             SERVE_ENGINES_BUILT_TOTAL.inc()
             while len(self._engines) > self._max_engines:
-                # The evicted engine's lock entry is kept on purpose: a
-                # thread may still be executing on the evicted engine, and a
-                # rebuilt engine for the same key must serialize against it
-                # under the *same* lock. Lock objects are tiny (one per
-                # distinct source ever seen), so the map stays bounded by
-                # the workload's dataset universe.
                 self._engines.popitem(last=False)
                 self.stats.engines_evicted += 1
                 SERVE_ENGINES_EVICTED_TOTAL.inc()
@@ -663,27 +613,17 @@ class EngineServer:
             if isinstance(request.source, (str, Path))
             else getattr(request.source, "name", "hypergraph")
         )
-        if capture:
-            run_local = lambda: self._execute_captured(request)  # noqa: E731
-            make_payload = lambda: self._captured_payload(request)  # noqa: E731
-        else:
-            run_local = lambda: self._execute(request)  # noqa: E731
-            make_payload = lambda: self._payload_for(request)  # noqa: E731
+        run = self._execute_captured if capture else self._execute
         return ServeUnit(
-            run_local=run_local,
-            make_payload=make_payload,
+            run=lambda: run(request),
             label=f"{label}:{type(request.spec).__name__}",
         )
 
     def _execute(self, request: ServeRequest) -> EngineResult:
         ensure_servable_spec(request.spec)
-        key = self._source_key(request.source)
         engine = self.engine_for(request.source)
-        # One unit at a time per engine: MotifEngine's internal memo/caches
-        # are not thread-safe, and units on *different* engines still overlap.
-        with self._engine_lock(key):
-            started = time.perf_counter()
-            result = dispatch_spec(engine, request.spec)
+        started = time.perf_counter()
+        result = dispatch_spec(engine, request.spec)
         SERVE_UNIT_SECONDS.observe(
             time.perf_counter() - started, spec=type(request.spec).__name__
         )
@@ -694,50 +634,6 @@ class EngineServer:
             return self._execute(request)
         except Exception as error:
             return UnitFailure.from_exception(error)
-
-    def _captured_payload(self, request: ServeRequest) -> WorkerPayload:
-        # Payload materialization resolves the dataset in the parent; in
-        # capture mode that failure must reach the unit's slots as a record,
-        # not abort the batch, so it rides a pre-failed payload.
-        try:
-            return self._payload_for(request, capture=True)
-        except Exception as error:
-            return WorkerPayload.failed(
-                dataset=str(request.source),
-                failure=UnitFailure.from_exception(error),
-                request_id=current_request_id(),
-            )
-
-    def _payload_for(
-        self, request: ServeRequest, capture: bool = False
-    ) -> WorkerPayload:
-        ensure_servable_spec(request.spec)
-        engine = self.engine_for(request.source)
-        hypergraph = engine.hypergraph
-        csr = hypergraph.csr()
-        store_dir: Optional[str] = None
-        if self._store is not None and self._store.persistent:
-            store_dir = str(self._store.directory)
-        return WorkerPayload(
-            edge_ptr=csr.edge_ptr,
-            edge_nodes=csr.edge_nodes,
-            dataset=hypergraph.name,
-            spec=spec_to_dict(request.spec),
-            store_dir=store_dir,
-            capture=capture,
-            # Bind the submitting context's trace id into the shipped form:
-            # payloads are materialized on the submitter's thread, so the
-            # contextvar is still visible here even though it will not
-            # survive the pickle boundary.
-            request_id=current_request_id(),
-        )
-
-    def _engine_lock(self, key: object) -> threading.Lock:
-        with self._pool_lock:
-            lock = self._engine_locks.get(key)
-            if lock is None:
-                lock = self._engine_locks[key] = threading.Lock()
-            return lock
 
     @staticmethod
     def _source_key(source: ServeSource) -> object:

@@ -52,14 +52,14 @@ Endpoints
     The process-wide :mod:`repro.obs` registry in Prometheus text exposition
     format 0.0.4 — per-stage server latency histograms, admission
     rejections, serve dedup/cache-tier/unit-failure counters, executor
-    queue-wait and respawn metrics, disk-tier put/get/eviction/occupancy
+    queue-wait and turnaround histograms, disk-tier put/get/eviction/occupancy
     metrics. Suitable for a Prometheus scrape target.
 
 Every batch gets a trace id — the client's ``X-Request-Id`` header when
 present (:class:`~repro.store.client.ServiceClient` always sends one),
 otherwise minted here — which is echoed as a response header, stamped on
-every NDJSON record envelope, propagated into executor workers (thread and
-process) and attached to every structured log event of the request.
+every NDJSON record envelope, propagated into the worker pool's threads and
+attached to every structured log event of the request.
 
 Result payloads are **bit-identical** to the ``serve-batch`` CLI's serial
 output for exact and integer-seeded specs — the HTTP layer serializes the
@@ -83,9 +83,6 @@ Overload and failure behavior (see README "Operations & failure modes"):
   units unfinished at the deadline resolve to per-unit ``UnitTimeout``
   error records (``"retryable": true``) while finished units stream
   normally.
-- **Worker crashes** — a process worker dying mid-batch converts its
-  in-flight units to ``WorkerCrashed`` records and the pool respawns for
-  the next batch; the service stays healthy throughout.
 - **Keep-alive** — connections are HTTP/1.1 persistent (responses carry
   ``Content-Length`` or chunked transfer); idle connections are reaped
   after ``_ServiceHandler.timeout`` seconds. Rejected-before-read
@@ -117,12 +114,7 @@ from repro.obs.trace import (
 )
 from repro.store import faults
 from repro.store.artifacts import ArtifactStore
-from repro.store.executors import (
-    SERVE_BACKEND_SERIAL,
-    UnitFailure,
-    WorkerPool,
-    resolve_backend,
-)
+from repro.store.executors import UnitFailure, WorkerPool, check_workers
 from repro.store.serve import (
     EngineServer,
     ServeRequest,
@@ -874,7 +866,6 @@ def build_server(
     *,
     store: Union[ArtifactStore, bool, None] = True,
     workers: int = 1,
-    backend: Optional[str] = None,
     max_engines: int = 8,
     max_batch: int = DEFAULT_MAX_BATCH,
     max_queue: int = DEFAULT_MAX_QUEUE,
@@ -883,22 +874,17 @@ def build_server(
 ) -> MotifHTTPServer:
     """Construct the HTTP service over a fresh engine server.
 
-    ``workers``/``backend`` choose the **persistent worker pool** at
-    startup: ``backend=None`` picks ``"thread"`` when ``workers > 1`` and
-    plain serial execution otherwise; ``"serial"`` forces serial execution
-    regardless of ``workers``. Thread and process pools are opened once and
-    reused across every batch the service ever serves. ``port=0`` binds a
-    free port (read it back from ``server.port``).
+    ``workers > 1`` gives the service a **persistent thread pool** of that
+    width, opened once and reused across every batch it ever serves; one
+    worker runs each batch serially on its handler thread. ``port=0`` binds
+    a free port (read it back from ``server.port``).
 
     ``max_queue`` bounds concurrently in-flight batches (429 beyond it) and
     ``request_timeout`` bounds each batch's wall-clock seconds (per-unit
     ``UnitTimeout`` records beyond it; ``None`` disables the deadline) —
     see the module docstring's overload and failure behavior.
     """
-    backend = resolve_backend(backend, workers)
-    pool: Optional[WorkerPool] = None
-    if backend != SERVE_BACKEND_SERIAL:
-        pool = WorkerPool(backend, workers)
+    pool = WorkerPool(workers) if check_workers(workers) > 1 else None
     engine_server = EngineServer(
         store=store, registry=registry, max_engines=max_engines, pool=pool
     )

@@ -3,12 +3,10 @@
 The production claims under test (see :mod:`repro.store.faults` and the
 README's "Operations & failure modes"): a failing disk degrades writes to
 the memory tier, a corrupted entry reads as a miss, a slow unit burns only
-its own slot, a crashed process worker costs its batch's in-flight units
-and nothing else, an overloaded service sheds load with retryable 429s,
-and the client retries exactly the transient failures. Nothing here
-monkeypatches internals — the hardened code paths are reached through
-their first-class injection points, which also work across the
-worker-process boundary.
+its own slot, an overloaded service sheds load with retryable 429s, and the
+client retries exactly the transient failures. Nothing here monkeypatches
+internals — the hardened code paths are reached through their first-class
+injection points, which also work across a process boundary.
 """
 
 from __future__ import annotations
@@ -28,12 +26,7 @@ from repro.store import ArtifactStore
 from repro.store import faults
 from repro.store.artifacts import STORE_PUTS_TOTAL
 from repro.store.client import ServiceClient
-from repro.store.executors import (
-    FAILURE_TIMEOUT,
-    FAILURE_WORKER_CRASH,
-    UnitFailure,
-    WorkerPool,
-)
+from repro.store.executors import FAILURE_TIMEOUT, UnitFailure
 from repro.store.serve import EngineServer, ServeRequest
 from repro.store.server import build_server, shutdown_gracefully
 
@@ -80,7 +73,9 @@ def running_server(request):
     def start(**kwargs):
         kwargs.setdefault("store", False)
         server = build_server(port=0, **kwargs)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
         servers.append(server)
         client = ServiceClient(port=server.port, timeout=60.0)
         client.wait_until_healthy()
@@ -219,11 +214,7 @@ class TestServeChaos:
             started = time.monotonic()
             outcomes = dict(
                 server.submit_stream(
-                    requests,
-                    workers=2,
-                    backend="thread",
-                    capture_errors=True,
-                    timeout=0.5,
+                    requests, workers=2, capture_errors=True, timeout=0.5
                 )
             )
             elapsed = time.monotonic() - started
@@ -242,50 +233,12 @@ class TestServeChaos:
             "serve.unit", mode="sleep", seconds=3.0, key=DATASET_A
         ):
             with pytest.raises(ServeError, match=FAILURE_TIMEOUT):
-                list(
-                    server.submit_stream(
-                        requests, workers=2, backend="thread", timeout=0.5
-                    )
-                )
-
-    def test_worker_crash_yields_records_and_pool_respawns(self, tmp_path):
-        os.environ[faults.ENV_FAULTS] = faults.encode_env(
-            {
-                "worker.unit": {
-                    "mode": "crash",
-                    "key": DATASET_A,
-                    "once_path": str(tmp_path / "crash-latch"),
-                }
-            }
-        )
-        pool = WorkerPool("process", workers=2)
-        with EngineServer(store=False, pool=pool) as server:
-            requests = _requests(DATASET_A, DATASET_B)
-            outcomes = dict(server.submit_stream(requests, capture_errors=True))
-            crashed = [
-                outcome
-                for outcome in outcomes.values()
-                if isinstance(outcome, UnitFailure)
-            ]
-            assert crashed, "the dying worker must surface as unit records"
-            assert all(
-                record.error_type == FAILURE_WORKER_CRASH and record.retryable
-                for record in crashed
-            )
-            assert pool.respawns >= 1
-            assert server.stats.worker_crashes >= 1
-            # The latch consumed the crash: the respawned pool serves.
-            again = dict(server.submit_stream(requests, capture_errors=True))
-            assert not any(
-                isinstance(outcome, UnitFailure) for outcome in again.values()
-            )
+                list(server.submit_stream(requests, workers=2, timeout=0.5))
 
 
 class TestServiceChaos:
     def test_slow_unit_over_http_degrades_per_unit(self, running_server):
-        server, client = running_server(
-            workers=2, backend="thread", request_timeout=0.8
-        )
+        server, client = running_server(workers=2, request_timeout=0.8)
         # Cold counts run outside the deadline: on a loaded machine they can
         # outlast 0.8 s, and only the injected slow unit may time out here.
         list(
@@ -312,7 +265,7 @@ class TestServiceChaos:
         assert client.health()["status"] == "ok"
 
     def test_admission_control_rejects_with_retryable_429(self, running_server):
-        server, client = running_server(workers=2, backend="thread", max_queue=1)
+        server, client = running_server(workers=2, max_queue=1)
         client.batch(_wire_requests(DATASET_A))  # warm the engine
         _wait_for_in_flight(server, 0)  # the warm batch gave its slot back
         faults.inject("serve.unit", mode="sleep", seconds=2.0, key=DATASET_A)
@@ -356,45 +309,11 @@ class TestServiceChaos:
         assert client.stats()["service"]["batches_rejected_busy"] >= 2
         assert client.health()["status"] == "ok"
 
-    def test_worker_crash_over_http_keeps_the_service_healthy(
-        self, running_server, tmp_path
-    ):
-        os.environ[faults.ENV_FAULTS] = faults.encode_env(
-            {
-                "worker.unit": {
-                    "mode": "crash",
-                    "key": DATASET_A,
-                    "once_path": str(tmp_path / "crash-latch"),
-                }
-            }
-        )
-        server, client = running_server(workers=2, backend="process")
-        statuses = [
-            record
-            for record in client.batch_stream(_wire_requests(DATASET_A, DATASET_B))
-        ]
-        done = [r for r in statuses if r["status"] == "done"]
-        crashed = [
-            r
-            for r in statuses
-            if r["status"] == "error"
-            and r["error"]["type"] == FAILURE_WORKER_CRASH
-        ]
-        assert done, "the stream must terminate with its summary, never hang"
-        assert crashed and all(r["error"]["retryable"] for r in crashed)
-        assert client.health()["status"] == "ok"
-        # The respawned pool serves the retry cleanly.
-        results = client.batch(_wire_requests(DATASET_A, DATASET_B))
-        assert len(results) == 2
-        payload = client.stats()
-        assert payload["pool"]["respawns"] >= 1
-        assert payload["serve"]["worker_crashes"] >= 1
-
     def test_disk_write_fault_mid_batch_never_fails_the_batch(
         self, running_server, tmp_path
     ):
         store = ArtifactStore(tmp_path / "store")
-        server, client = running_server(store=store, workers=2, backend="thread")
+        server, client = running_server(store=store, workers=2)
         with faults.injected("store.disk_write", times=None):
             results = client.batch(_wire_requests(DATASET_A, DATASET_B))
         assert len(results) == 2

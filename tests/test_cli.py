@@ -331,10 +331,7 @@ class TestServeBatch:
         assert "served 4 requests (3 unique, 1 deduplicated)" in output
         assert "profile" in output
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_serve_batch_parallel_backends(
-        self, request_file, tmp_path, backend, capsys
-    ):
+    def test_serve_batch_parallel_workers(self, request_file, tmp_path, capsys):
         assert (
             main(
                 [
@@ -342,8 +339,6 @@ class TestServeBatch:
                     str(request_file),
                     "--workers",
                     "2",
-                    "--backend",
-                    backend,
                     "--store",
                     str(tmp_path / "store"),
                 ]
@@ -366,8 +361,6 @@ class TestServeBatch:
                     "--no-store",
                     "--workers",
                     "2",
-                    "--backend",
-                    "process",
                 ]
             )
             == 0
@@ -425,18 +418,18 @@ class TestServeBatch:
 
 
 class TestParallelWarm:
-    PROCESS_WORKERS = ("--workers", "2", "--backend", "process")
+    WORKERS = ("--workers", "2")
 
     @staticmethod
     def _warm(store, hypergraph_file, *options):
         argv = ["cache", "--store", store, "warm", str(hypergraph_file)]
         return main(argv + ["--profile", "2", *options])
 
-    def test_cache_warm_with_process_workers_then_serial_hit(
+    def test_cache_warm_with_workers_then_serial_hit(
         self, hypergraph_file, tmp_path, capsys
     ):
         store = str(tmp_path / "store")
-        assert self._warm(store, hypergraph_file, *self.PROCESS_WORKERS) == 0
+        assert self._warm(store, hypergraph_file, *self.WORKERS) == 0
         # The store starts empty, so the count comes from this batch: its own
         # unit computes it, or the profile unit, which counts too, stores it
         # first and the count unit hits. Which unit wins is scheduling.
@@ -444,15 +437,15 @@ class TestParallelWarm:
         assert re.search(r"count (computed|hit), profile computed", out)
         kinds = {entry.kind for entry in ArtifactStore(store).entries()}
         assert kinds == {"projection", "count", "null-counts", "profile"}
-        # The worker-written artifacts serve a fresh serial invocation.
+        # The pool-written artifacts serve a fresh serial invocation.
         assert self._warm(store, hypergraph_file) == 0
         assert "count hit, profile hit" in capsys.readouterr().out
 
     def test_cache_warm_count_hits_the_profile_units_count(
         self, hypergraph_file, tmp_path, capsys, monkeypatch
     ):
-        # Hold the count unit back (env-armed, so forked workers see it) and
-        # the profile unit's own count always lands in the store first.
+        # Hold the count unit back and the profile unit's own count always
+        # lands in the store first.
         monkeypatch.setenv(
             faults.ENV_FAULTS,
             faults.encode_env(
@@ -460,5 +453,5 @@ class TestParallelWarm:
             ),
         )
         store = str(tmp_path / "store")
-        assert self._warm(store, hypergraph_file, *self.PROCESS_WORKERS) == 0
+        assert self._warm(store, hypergraph_file, *self.WORKERS) == 0
         assert "count hit, profile computed" in capsys.readouterr().out

@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
+import numpy as np
 import pytest
 
+from repro.api.registry import DEFAULT_REGISTRY
 from repro.counting import (
     compute_overlap_statistics,
+    count_approx_edge_sampling,
+    count_approx_wedge_sampling,
     count_exact,
     edge_sampling_variance,
     variance_comparison,
     wedge_sampling_variance,
 )
+from repro.generators import generate_uniform_random
 from repro.motifs.patterns import NUM_MOTIFS
 from repro.projection import project
 
 
 @pytest.fixture(scope="module")
 def statistics():
-    from repro.generators import generate_uniform_random
-
     hypergraph = generate_uniform_random(
         num_nodes=25, num_hyperedges=40, mean_size=3.0, max_size=5, seed=3
     )
@@ -106,3 +111,90 @@ class TestVarianceComparison:
         stats, _ = statistics
         with pytest.raises(ValueError):
             variance_comparison(stats, sampling_ratio=0)
+
+
+#: Seeded runs per sampler and fixture behind each empirical variance.
+NUM_RUNS = 400
+
+#: Two-sided probability of a false failure of one ratio check.
+ALPHA = 0.001
+
+#: Motifs with fewer exact instances than this are too noisy to compare.
+MIN_INSTANCES = 30
+
+
+def _chi_square_quantile(p: float, dof: int) -> float:
+    """Wilson–Hilferty approximation of the chi-square quantile function."""
+    z = NormalDist().inv_cdf(p)
+    return dof * (1.0 - 2.0 / (9 * dof) + z * (2.0 / (9 * dof)) ** 0.5) ** 3
+
+
+#: Where ``S²/σ²`` of a ``NUM_RUNS``-draw sample variance lies with
+#: probability ``1 - ALPHA``: ``(n-1)S²/σ²`` is chi-square with ``n-1``
+#: degrees of freedom. Applied to the median ratio over motifs.
+RATIO_BOUNDS = tuple(
+    _chi_square_quantile(p, NUM_RUNS - 1) / (NUM_RUNS - 1)
+    for p in (ALPHA / 2, 1 - ALPHA / 2)
+)
+
+
+def _sampler_fixture(name):
+    """``(hypergraph, MoCHy-A samples s, MoCHy-A+ samples r)`` by name."""
+    if name == "uniform-random":
+        return generate_uniform_random(40, 80, seed=3), 20, 60
+    return DEFAULT_REGISTRY.load(name), 30, 200
+
+
+class TestVarianceMatchesSamplers:
+    """Theorems 2 and 4 against the samplers they describe.
+
+    The empirical variance of ``NUM_RUNS`` seeded estimates, divided by the
+    closed form, must centre on 1 for motifs with enough instances. The
+    bounds on the median ratio are the chi-square interval of a sample
+    variance, so a formula off by the missing factor 2 on its pair terms
+    (medians 1.5–1.9 here) falls outside them.
+    """
+
+    @pytest.fixture(scope="class", params=["uniform-random", "contact-primary-like"])
+    def fixture(self, request):
+        hypergraph, edge_samples, wedge_samples = _sampler_fixture(request.param)
+        projection = project(hypergraph)
+        statistics = compute_overlap_statistics(hypergraph, projection)
+        return hypergraph, projection, statistics, edge_samples, wedge_samples
+
+    @staticmethod
+    def _median_ratio(statistics, runs, variance, num_samples):
+        empirical = np.var(np.array(runs), axis=0, ddof=1)
+        ratios = [
+            empirical[motif - 1] / variance(statistics, motif, num_samples)
+            for motif in range(1, NUM_MOTIFS + 1)
+            if statistics.counts[motif] >= MIN_INSTANCES
+        ]
+        assert len(ratios) >= 3, "too few well-populated motifs to compare"
+        return float(np.median(ratios))
+
+    def test_mochy_a_variance_matches_the_sampler(self, fixture):
+        hypergraph, projection, statistics, num_samples, _ = fixture
+        runs = [
+            count_approx_edge_sampling(
+                hypergraph, num_samples, projection, seed=seed
+            ).to_array()
+            for seed in range(NUM_RUNS)
+        ]
+        ratio = self._median_ratio(
+            statistics, runs, edge_sampling_variance, num_samples
+        )
+        assert RATIO_BOUNDS[0] <= ratio <= RATIO_BOUNDS[1], ratio
+
+    def test_mochy_a_plus_variance_matches_the_sampler(self, fixture):
+        hypergraph, projection, statistics, _, num_samples = fixture
+        runs = [
+            count_approx_wedge_sampling(
+                hypergraph, num_samples, projection, seed=seed
+            ).to_array()
+            for seed in range(NUM_RUNS)
+        ]
+        ratio = self._median_ratio(
+            statistics, runs, wedge_sampling_variance, num_samples
+        )
+        assert RATIO_BOUNDS[0] <= ratio <= RATIO_BOUNDS[1], ratio

@@ -286,7 +286,9 @@ class TestServability:
 @contextmanager
 def running_server(**kwargs):
     server = build_server(port=0, **kwargs)
-    loop = threading.Thread(target=server.serve_forever, daemon=True)
+    loop = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     loop.start()
     client = ServiceClient(port=server.port, timeout=60.0)
     client.wait_until_healthy()

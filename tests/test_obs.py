@@ -8,8 +8,8 @@ Pinned guarantees:
 * the ``/v1/metrics`` exposition parses as valid Prometheus text format
   0.0.4 (cumulative monotone ``le`` buckets, ``+Inf == count``, HELP/TYPE
   headers, escaped label values);
-* serving batches over the thread **and** process executors land exact
-  counts in the process-wide registry;
+* serving batches over a thread pool land exact counts in the process-wide
+  registry;
 * a request id injected by :class:`ServiceClient` is observable on every
   streamed NDJSON record envelope and in the server's structured log.
 """
@@ -286,7 +286,7 @@ class TestServingCounts:
             ServeRequest(alpha, CountSpec()),  # duplicate of request 0
         ]
         server = EngineServer(store=False)
-        results = server.submit(requests, workers=2, backend="thread")
+        results = server.submit(requests, workers=2)
         assert len(results) == 3
         assert serve_mod.SERVE_REQUESTS_TOTAL.value() == 3
         assert serve_mod.SERVE_BATCHES_TOTAL.value() == 1
@@ -295,26 +295,8 @@ class TestServingCounts:
         assert serve_mod.SERVE_IN_FLIGHT.value() == 0
         wait = executors_mod.QUEUE_WAIT_SECONDS
         turnaround = executors_mod.UNIT_TURNAROUND_SECONDS
-        assert wait.child_count(backend="thread") == 2
-        assert turnaround.child_count(backend="thread") == 2
-
-    def test_process_batch_lands_exact_counts(self, datasets, tmp_path):
-        alpha, beta = datasets
-        requests = [
-            ServeRequest(alpha, CountSpec()),
-            ServeRequest(beta, CountSpec()),
-        ]
-        server = EngineServer(store=ArtifactStore(tmp_path / "store"))
-        results = server.submit(requests, workers=2, backend="process")
-        assert len(results) == 2
-        assert serve_mod.SERVE_REQUESTS_TOTAL.value() == 2
-        assert serve_mod.SERVE_CACHE_TIER_TOTAL.value(tier="computed") == 2
-        turnaround = executors_mod.UNIT_TURNAROUND_SECONDS
-        assert turnaround.child_count(backend="process") == 2
-        # Warm re-submit through a fresh serial server: disk-tier outcomes.
-        warm = EngineServer(store=ArtifactStore(tmp_path / "store"))
-        warm.submit(requests)
-        assert serve_mod.SERVE_CACHE_TIER_TOTAL.value(tier="disk") == 2
+        assert wait.child_count() == 2
+        assert turnaround.child_count() == 2
 
 
 # ---------------------------------------------------------------------- trace

@@ -1,20 +1,21 @@
 """Parity and behavior tests for the serving layer's one batch path.
 
-The headline guarantee of the serving layer: ``submit()`` with the thread or
-process backend returns **bit-identical** results — counts, profiles,
-comparison rows — and identical ordering vs. the serial backend, for exact
-and integer-seeded specs. Every batch runs through one loop
+The headline guarantee of the serving layer: ``submit()`` on a thread pool —
+one the batch opens for itself, or the server's persistent one — returns
+**bit-identical** results — counts, profiles, comparison rows — and
+identical ordering vs. serial serving, for exact and integer-seeded specs.
+Every batch runs through one loop
 (:func:`~repro.store.executors.stream_units`) and ``submit()`` is
 ``submit_stream()`` collected into request order. The suite also pins the
-``(backend, workers)`` validation shared with ``build_server``, the
-lifetime of the pool a batch with an explicit worker count opens for
-itself, the LRU engine pool's evict-then-rebuild-from-disk path, and
-per-batch dedup accounting.
+``workers`` validation shared with ``build_server``, the lifetime of the
+pool a batch with an explicit worker count opens for itself, the LRU engine
+pool's evict-then-rebuild-from-disk path, and per-batch dedup accounting.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,22 +23,24 @@ import pytest
 
 from repro.api import CompareSpec, CountSpec, PredictSpec, ProfileSpec
 from repro.api.results import CompareResult, CountResult, ProfileResult
-from repro.exceptions import ServeError, SpecError
+from repro.exceptions import SpecError
 from repro.generators import generate_uniform_random
 from repro.store import ArtifactStore, faults
 from repro.store import serve as serve_module
+from repro.obs.trace import current_request_id, trace
 from repro.store.executors import (
-    FAILURE_WORKER_CRASH,
-    SERVE_BACKENDS,
+    FAILURE_TIMEOUT,
+    ServeUnit,
+    UnitFailure,
     WorkerPool,
-    hypergraph_from_csr_rows,
-    resolve_backend,
     stream_units,
 )
 from repro.store.serve import EngineServer, ServeRequest
 from repro.store.server import build_server
 
-PARALLEL_BACKENDS = ("thread", "process")
+#: Where a parallel batch's threads come from: a pool the batch opens for
+#: itself (``workers=N``) or the server's persistent pool (``workers=None``).
+POOLS = ("batch", "persistent")
 
 
 def _make_hypergraph(seed: int = 0, num_hyperedges: int = 40):
@@ -70,6 +73,24 @@ def mixed_requests(datasets):
     return requests
 
 
+def _pooled_server(pool, store=False, workers=4):
+    """A server and the ``workers`` argument that runs its batches on *pool*.
+
+    ``"serial"`` runs units in the caller, ``"batch"`` opens a pool of
+    *workers* threads per batch and ``"persistent"`` gives the server one.
+    """
+    shared = WorkerPool(workers) if pool == "persistent" else None
+    server = EngineServer(store=store, pool=shared)
+    return server, (workers if pool == "batch" else None)
+
+
+def _parallel_submit(requests, pool, store=False, workers=4):
+    """Serve *requests* on a pool of *workers* threads of the given kind."""
+    server, workers = _pooled_server(pool, store, workers)
+    with server:
+        return server.submit(requests, workers=workers)
+
+
 def _assert_results_bit_identical(reference, candidate):
     assert len(reference) == len(candidate)
     for expected, actual in zip(reference, candidate):
@@ -96,21 +117,21 @@ def _assert_results_bit_identical(reference, candidate):
             raise AssertionError(f"unexpected result type {type(expected)}")
 
 
-class TestBackendParity:
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+class TestPoolParity:
+    @pytest.mark.parametrize("pool", POOLS)
     def test_parallel_matches_serial_bit_identically(
-        self, tmp_path, mixed_requests, backend
+        self, tmp_path, mixed_requests, pool
     ):
         serial = EngineServer(store=ArtifactStore(tmp_path / "serial")).submit(
             mixed_requests
         )
-        parallel = EngineServer(store=ArtifactStore(tmp_path / backend)).submit(
-            mixed_requests, workers=4, backend=backend
+        parallel = _parallel_submit(
+            mixed_requests, pool, store=ArtifactStore(tmp_path / pool)
         )
         _assert_results_bit_identical(serial, parallel)
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_cold_provenance_matches_serial(self, tmp_path, datasets, backend):
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_cold_provenance_matches_serial(self, tmp_path, datasets, pool):
         """Cold-batch cache provenance agrees modulo tier (all computed).
 
         Uses units with no batch-internal sharing: when one unit's work
@@ -129,111 +150,70 @@ class TestBackendParity:
         serial = EngineServer(store=ArtifactStore(tmp_path / "serial")).submit(
             requests
         )
-        parallel = EngineServer(store=ArtifactStore(tmp_path / backend)).submit(
-            requests, workers=4, backend=backend
+        parallel = _parallel_submit(
+            requests, pool, store=ArtifactStore(tmp_path / pool)
         )
         for expected, actual in zip(serial, parallel):
             assert not expected.from_cache
             assert actual.from_cache == expected.from_cache
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_storeless_server_parity(self, mixed_requests, backend):
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_storeless_server_parity(self, mixed_requests, pool):
         serial = EngineServer(store=False).submit(mixed_requests)
-        parallel = EngineServer(store=False).submit(
-            mixed_requests, workers=3, backend=backend
-        )
+        parallel = _parallel_submit(mixed_requests, pool, workers=3)
         _assert_results_bit_identical(serial, parallel)
 
-    def test_process_workers_populate_the_shared_store(self, tmp_path, datasets):
-        """Worker processes persist under the parent's fingerprints."""
+    def test_pool_units_populate_the_shared_store(self, tmp_path, datasets):
+        """Pool threads persist under the datasets' fingerprints."""
         store = ArtifactStore(tmp_path / "store")
         requests = [
             ServeRequest(dataset, ProfileSpec(num_random=2, seed=0))
             for dataset in datasets
         ]
-        cold = EngineServer(store=store).submit(
-            requests, workers=3, backend="process"
-        )
+        cold = EngineServer(store=store).submit(requests, workers=3)
         assert all(not result.from_cache for result in cold)
         kinds = {entry.kind for entry in store.entries()}
         assert kinds == {"projection", "count", "null-counts", "profile"}
         # A fresh serial server over the same directory warm-starts from the
-        # worker-written artifacts, bit-identically.
+        # pool-written artifacts, bit-identically.
         warm = EngineServer(store=ArtifactStore(tmp_path / "store")).submit(requests)
         assert all(result.from_cache for result in warm)
         assert all(result.cache_tier == "disk" for result in warm)
         _assert_results_bit_identical(cold, warm)
 
-    def test_rebuilt_hypergraph_shares_fingerprint_and_results(self):
-        """The process-worker reconstruction invariant, pinned directly."""
-        hypergraph = _make_hypergraph(seed=9)
-        csr = hypergraph.csr()
-        rebuilt = hypergraph_from_csr_rows(
-            csr.edge_ptr, csr.edge_nodes, hypergraph.name
-        )
-        assert rebuilt.fingerprint() == hypergraph.fingerprint()
-        assert np.array_equal(rebuilt.csr().edge_nodes, csr.edge_nodes)
-        assert np.array_equal(rebuilt.csr().edge_ptr, csr.edge_ptr)
-
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_dedup_accounting_is_backend_independent(
-        self, mixed_requests, backend
-    ):
+    def test_dedup_accounting_is_pool_independent(self, mixed_requests):
         serial = EngineServer(store=False)
         serial.submit(mixed_requests)
         parallel = EngineServer(store=False)
-        parallel.submit(mixed_requests, workers=4, backend=backend)
+        parallel.submit(mixed_requests, workers=4)
         assert parallel.stats.requests == serial.stats.requests
         assert parallel.stats.unique == serial.stats.unique
         assert parallel.stats.deduplicated == serial.stats.deduplicated
 
 
 class TestExecutorValidation:
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(SpecError):
-            EngineServer(store=False).submit([], backend="gpu")
-
     @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
     def test_invalid_workers_are_rejected(self, workers):
         with pytest.raises(SpecError):
             EngineServer(store=False).submit([], workers=workers)
 
-    def test_backend_defaults(self):
-        assert resolve_backend(None, 1) == "serial"
-        assert resolve_backend(None, 4) == "thread"
-        for backend in SERVE_BACKENDS:
-            assert resolve_backend(backend, 2) == backend
-
-    @pytest.mark.parametrize(
-        "backend, workers",
-        [
-            ("gpu", 1),
-            ("gpu", 0),
-            (None, 0),
-            ("thread", -1),
-            ("process", 1.5),
-            ("serial", True),
-        ],
-    )
-    def test_build_server_and_submit_reject_the_same_pairs(self, backend, workers):
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True, "2"])
+    def test_build_server_and_submit_reject_the_same_workers(self, workers):
         with pytest.raises(SpecError) as from_submit:
-            EngineServer(store=False).submit([], workers=workers, backend=backend)
+            EngineServer(store=False).submit([], workers=workers)
         with pytest.raises(SpecError) as from_build:
-            build_server(port=0, store=False, workers=workers, backend=backend)
+            build_server(port=0, store=False, workers=workers)
         assert str(from_build.value) == str(from_submit.value)
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_predict_spec_is_rejected_before_workers_run(self, backend):
-        server = EngineServer(store=False)
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_predict_spec_is_rejected_before_workers_run(self, pool):
         with pytest.raises(SpecError):
-            server.submit(
-                [ServeRequest(_make_hypergraph(), PredictSpec())],
-                workers=2,
-                backend=backend,
+            _parallel_submit(
+                [ServeRequest(_make_hypergraph(), PredictSpec())], pool, workers=2
             )
 
     def test_empty_batch(self):
-        assert EngineServer(store=False).submit([], workers=4, backend="thread") == []
+        assert EngineServer(store=False).submit([], workers=4) == []
 
 
 class TestEnginePool:
@@ -253,37 +233,35 @@ class TestEnginePool:
         assert warm.from_cache and warm.cache_tier == "disk"
         assert np.array_equal(warm.counts.to_array(), cold.counts.to_array())
 
-    @pytest.mark.parametrize("backend", ("serial",) + PARALLEL_BACKENDS)
-    def test_dedup_executes_shared_work_once_per_batch(self, tmp_path, backend):
+    @pytest.mark.parametrize("pool", ("serial",) + POOLS)
+    def test_dedup_executes_shared_work_once_per_batch(self, tmp_path, pool):
         """The dedup satellite: duplicate slots never recompute or re-project."""
-        server = EngineServer(store=ArtifactStore(tmp_path / backend))
+        server, workers = _pooled_server(
+            pool, store=ArtifactStore(tmp_path / "store"), workers=2
+        )
         hypergraph = _make_hypergraph(3)
         batch = [ServeRequest(hypergraph, CountSpec())] * 4 + [
             ServeRequest(hypergraph, ProfileSpec(num_random=2, seed=0))
         ]
-        results = server.submit(batch, workers=2, backend=backend)
+        results = server.submit(batch, workers=workers)
         assert server.stats.requests == 5
         assert server.stats.unique == 2
         assert server.stats.deduplicated == 3
-        if backend != "process":
-            # Local backends run on the pooled engine: the projection was
-            # built exactly once for the whole batch.
-            engine = server.engine_for(hypergraph)
-            assert engine.num_projection_builds <= 1
+        # Both units ran on the pooled engine, concurrently on a pool: the
+        # projection was built exactly once for the batch.
+        assert server.engine_for(hypergraph).num_projection_builds == 1
         for result in results[:4]:
             assert np.array_equal(
                 result.counts.to_array(), results[0].counts.to_array()
             )
 
-    def test_duplicate_slots_get_defensive_copies_under_parallel_backends(
+    def test_duplicate_slots_get_defensive_copies_on_a_pool(
         self, datasets
     ):
         server = EngineServer(store=False)
         hypergraph = datasets[0]
         first, second = server.submit(
-            [ServeRequest(hypergraph, CountSpec())] * 2,
-            workers=2,
-            backend="thread",
+            [ServeRequest(hypergraph, CountSpec())] * 2, workers=2
         )
         expected = second.counts.to_array().copy()
         first.counts.increment(1, 1000.0)
@@ -294,8 +272,6 @@ class TestWorkerPool:
     """Persistent pools: worker reuse across batches, lifecycle, validation."""
 
     def test_thread_workers_are_reused_across_batches(self):
-        from repro.store.executors import ServeUnit
-
         def barrier_batch():
             # Both workers must participate in the batch (the barrier only
             # releases once two units run concurrently), so each batch
@@ -306,11 +282,9 @@ class TestWorkerPool:
                 barrier.wait(timeout=10)
                 return threading.get_ident()
 
-            return [
-                ServeUnit(run_local=run, make_payload=None) for _ in range(2)
-            ]
+            return [ServeUnit(run=run) for _ in range(2)]
 
-        with WorkerPool("thread", 2) as pool:
+        with WorkerPool(2) as pool:
             first = {ident for _, ident in stream_units(barrier_batch(), pool)}
             underlying = pool.executor()
             second = {ident for _, ident in stream_units(barrier_batch(), pool)}
@@ -320,23 +294,39 @@ class TestWorkerPool:
             assert first == second
         assert pool.closed
 
+    def test_pool_units_run_under_the_submitting_request_id(self):
+        units = [ServeUnit(run=current_request_id) for _ in range(3)]
+        with WorkerPool(2) as pool, trace("feedc0de12345678"):
+            outcomes = dict(stream_units(units, pool))
+        assert outcomes == {index: "feedc0de12345678" for index in range(3)}
+
+    def test_serial_deadline_is_checked_between_units(self):
+        def slow():
+            time.sleep(0.2)
+            return "slow"
+
+        units = [ServeUnit(run=slow, label="a"), ServeUnit(run=lambda: "b")]
+        outcomes = list(stream_units(units, deadline=time.monotonic() + 0.1))
+        # A running unit is never preempted; the next one is not started.
+        assert outcomes[0] == (0, "slow")
+        index, record = outcomes[1]
+        assert index == 1 and isinstance(record, UnitFailure)
+        assert record.error_type == FAILURE_TIMEOUT and record.retryable
+
     def test_closed_pool_rejects_work(self):
-        pool = WorkerPool("thread", 2)
+        pool = WorkerPool(2)
         pool.close()
         with pytest.raises(SpecError, match="closed"):
             pool.executor()
         pool.close()  # idempotent
 
     def test_pool_validation(self):
-        with pytest.raises(SpecError, match="serial"):
-            WorkerPool("serial", 2)
-        with pytest.raises(SpecError, match="backend"):
-            WorkerPool("fibers", 2)
-        with pytest.raises(SpecError, match="workers"):
-            WorkerPool("thread", 0)
+        for workers in (0, -1, 1.5, True):
+            with pytest.raises(SpecError, match="workers"):
+                WorkerPool(workers)
 
     def test_engine_server_uses_and_closes_its_pool(self, datasets):
-        pool = WorkerPool("thread", 2)
+        pool = WorkerPool(2)
         server = EngineServer(store=False, pool=pool)
         assert server.worker_pool is pool
         assert not pool.started
@@ -352,41 +342,23 @@ class TestWorkerPool:
         # An explicit workers count is a concurrency cap the caller must
         # actually get, so it runs on a pool of its own, no wider than the
         # batch (one unit here: serially), never on the persistent pool.
-        with EngineServer(store=False, pool=WorkerPool("thread", 4)) as server:
+        with EngineServer(store=False, pool=WorkerPool(4)) as server:
             requests = [ServeRequest(datasets[0], CountSpec())]
-            explicit = server.submit(requests, workers=2, backend="thread")
+            explicit = server.submit(requests, workers=2)
             assert not server.worker_pool.started
             pooled = server.submit(requests)
             assert server.worker_pool.started
             _assert_results_bit_identical(explicit, pooled)
 
-    def test_process_pool_reuses_worker_processes(self, tmp_path, datasets):
-        store = ArtifactStore(tmp_path / "store")
-        with EngineServer(store=store, pool=WorkerPool("process", 2)) as server:
-            requests = [
-                ServeRequest(datasets[0], CountSpec()),
-                ServeRequest(datasets[1], CountSpec()),
-            ]
-            first = server.submit(requests)
-            underlying = server.worker_pool.executor()
-            second = server.submit(requests)
-            assert server.worker_pool.executor() is underlying
-        serial = EngineServer(store=False).submit(requests)
-        _assert_results_bit_identical(serial, first)
-        _assert_results_bit_identical(serial, second)
-
 
 class TestSubmitStream:
     """Streaming submission: completion-order parity, dedup fan-out, errors."""
 
-    @pytest.mark.parametrize("backend", (None, "thread"))
-    def test_stream_payloads_match_submit(self, datasets, mixed_requests, backend):
+    @pytest.mark.parametrize("workers", (None, 2))
+    def test_stream_payloads_match_submit(self, datasets, mixed_requests, workers):
         reference = EngineServer(store=False).submit(mixed_requests)
         with EngineServer(store=False) as server:
-            workers = None if backend is None else 2
-            streamed = dict(
-                server.submit_stream(mixed_requests, workers=workers, backend=backend)
-            )
+            streamed = dict(server.submit_stream(mixed_requests, workers=workers))
         ordered = [streamed[index] for index in range(len(mixed_requests))]
         _assert_results_bit_identical(reference, ordered)
 
@@ -408,27 +380,28 @@ class TestSubmitStream:
             outcomes[0].counts.to_array(), outcomes[1].counts.to_array()
         )
 
-    def test_stream_raises_without_capture(self, datasets):
-        requests = [ServeRequest("no-such-dataset-xyz", CountSpec())]
-        with EngineServer(store=False) as server:
-            with pytest.raises(Exception, match="no-such-dataset-xyz"):
-                list(server.submit_stream(requests))
-            assert server.stats.in_flight == 0
-
-    @pytest.mark.parametrize("backend", (None, "thread", "process"))
-    def test_capture_errors_isolates_failing_units(self, datasets, backend):
-        from repro.store.executors import UnitFailure
-
+    @pytest.mark.parametrize("pool", ("serial",) + POOLS)
+    def test_stream_raises_without_capture(self, datasets, pool):
         requests = [
             ServeRequest("no-such-dataset-xyz", CountSpec()),
             ServeRequest(datasets[0], CountSpec()),
         ]
-        with EngineServer(store=False) as server:
-            workers = None if backend is None else 2
+        server, workers = _pooled_server(pool, workers=2)
+        with server:
+            with pytest.raises(Exception, match="no-such-dataset-xyz"):
+                list(server.submit_stream(requests, workers=workers))
+            assert server.stats.in_flight == 0
+
+    @pytest.mark.parametrize("pool", ("serial",) + POOLS)
+    def test_capture_errors_isolates_failing_units(self, datasets, pool):
+        requests = [
+            ServeRequest("no-such-dataset-xyz", CountSpec()),
+            ServeRequest(datasets[0], CountSpec()),
+        ]
+        server, workers = _pooled_server(pool, workers=2)
+        with server:
             outcomes = dict(
-                server.submit_stream(
-                    requests, workers=workers, backend=backend, capture_errors=True
-                )
+                server.submit_stream(requests, workers=workers, capture_errors=True)
             )
         assert isinstance(outcomes[0], UnitFailure)
         assert outcomes[0].error_type == "DatasetError"
@@ -455,8 +428,8 @@ def batch_pools(monkeypatch):
     opened = []
 
     class RecordingPool(WorkerPool):
-        def __init__(self, backend, workers):
-            super().__init__(backend, workers)
+        def __init__(self, workers):
+            super().__init__(workers)
             self.executors = []
             opened.append(self)
 
@@ -471,30 +444,26 @@ def batch_pools(monkeypatch):
 class TestBatchPools:
     """A batch with an explicit worker count owns its pool for its lifetime."""
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    @pytest.mark.parametrize("workers", (2, 8))
     @pytest.mark.parametrize("ending", ("complete", "failing", "abandoned"))
     def test_batch_pool_is_closed_however_the_batch_ends(
-        self, monkeypatch, batch_pools, datasets, backend, ending
+        self, batch_pools, datasets, workers, ending
     ):
         requests = [ServeRequest(dataset, CountSpec()) for dataset in datasets]
         server = EngineServer(store=False)
-        stream = server.submit_stream(requests, workers=8, backend=backend)
+        stream = server.submit_stream(requests, workers=workers)
         if ending == "complete":
             assert len(dict(stream)) == len(requests)
         elif ending == "failing":
-            # Env-armed, so it fires in forked process workers as well.
-            monkeypatch.setenv(
-                faults.ENV_FAULTS,
-                faults.encode_env({"serve.unit": {"mode": "error"}}),
-            )
-            with pytest.raises(faults.InjectedFault):
-                list(stream)
+            with faults.injected("serve.unit", mode="error", times=None):
+                with pytest.raises(faults.InjectedFault):
+                    list(stream)
         else:
             next(stream)
             stream.close()
         (pool,) = batch_pools
-        assert pool.backend == backend
-        assert pool.workers == len(requests)  # no wider than the batch
+        # The caller's cap, and no wider than the batch.
+        assert pool.workers == min(workers, len(requests))
         assert pool.executors  # the batch ran on it ...
         assert pool.closed and not pool.started  # ... and released it
         assert server.stats.in_flight == 0
@@ -509,9 +478,7 @@ class TestBatchPools:
         with EngineServer(store=ArtifactStore(tmp_path / "s")) as server:
             with ThreadPoolExecutor(len(datasets)) as callers:
                 futures = [
-                    callers.submit(
-                        server.submit, batch(dataset), workers=2, backend="thread"
-                    )
+                    callers.submit(server.submit, batch(dataset), workers=2)
                     for dataset in datasets
                 ]
                 results = [future.result(timeout=60) for future in futures]
@@ -521,34 +488,13 @@ class TestBatchPools:
         assert len(batch_pools) == len(datasets)
         assert all(pool.closed for pool in batch_pools)
 
-    def test_one_unit_process_batch_runs_on_the_pooled_engine(
+    def test_one_unit_batch_runs_serially_on_the_pooled_engine(
         self, batch_pools, datasets
     ):
         server = EngineServer(store=False)
         request = ServeRequest(datasets[0], CountSpec())
-        (result,) = server.submit([request], workers=4, backend="process")
+        (result,) = server.submit([request], workers=4)
         (expected,) = EngineServer(store=False).submit([request])
         _assert_results_bit_identical([expected], [result])
         assert batch_pools == []
         assert server.engine_for(datasets[0]).num_projection_builds == 1
-
-    def test_submit_raises_serve_error_when_a_worker_crashes(
-        self, monkeypatch, tmp_path, datasets
-    ):
-        monkeypatch.setenv(
-            faults.ENV_FAULTS,
-            faults.encode_env(
-                {
-                    "worker.unit": {
-                        "mode": "crash",
-                        "once_path": str(tmp_path / "crash-latch"),
-                    }
-                }
-            ),
-        )
-        server = EngineServer(store=False)
-        requests = [ServeRequest(dataset, CountSpec()) for dataset in datasets]
-        with pytest.raises(ServeError, match=FAILURE_WORKER_CRASH):
-            server.submit(requests, workers=2, backend="process")
-        assert server.stats.worker_crashes >= 1
-        assert server.stats.in_flight == 0

@@ -20,6 +20,7 @@ import http.client
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
@@ -28,7 +29,7 @@ from repro.api import CountSpec, ProfileSpec
 from repro.cli import main as cli_main
 from repro.generators import generate_uniform_random
 from repro.hypergraph import io as hio
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, faults
 from repro.store.client import ServiceClient, ServiceError, request_to_dict
 from repro.store.serve import ServeRequest
 from repro.store.server import (
@@ -104,7 +105,9 @@ def requests_jsonl(tmp_path, datasets):
 def running_server(store=False, **kwargs):
     """A live service on a free port, torn down (drained) afterwards."""
     server = build_server(port=0, store=store, **kwargs)
-    loop = threading.Thread(target=server.serve_forever, daemon=True)
+    loop = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     loop.start()
     client = ServiceClient(port=server.port, timeout=60.0)
     client.wait_until_healthy()
@@ -133,7 +136,7 @@ class TestEndpoints:
 
     def test_stats_shape(self, tmp_path):
         with running_server(
-            store=ArtifactStore(tmp_path / "store"), workers=2, backend="thread"
+            store=ArtifactStore(tmp_path / "store"), workers=2
         ) as (_, client):
             payload = client.stats()
             assert payload["engines"]["max"] == 8
@@ -143,11 +146,20 @@ class TestEndpoints:
             assert occupancy["layout"] == "write-once"
             assert occupancy["num_shards"] == 256
             assert payload["pool"] == {
-                "backend": "thread",
                 "workers": 2,
                 "started": False,
                 "closed": False,
-                "respawns": 0,
+            }
+            assert payload["serve"] == {
+                "requests": 0,
+                "unique": 0,
+                "deduplicated": 0,
+                "engines_built": 0,
+                "engines_evicted": 0,
+                "batches": 0,
+                "in_flight": 0,
+                "unit_failures": 0,
+                "unit_timeouts": 0,
             }
             assert payload["max_batch"] == DEFAULT_MAX_BATCH
             assert payload["max_queue"] == DEFAULT_MAX_QUEUE
@@ -177,7 +189,7 @@ class TestStreamedBatchParity:
         path, records = requests_jsonl
         reference = serial_reference(path, capsys)
         with running_server(
-            store=ArtifactStore(tmp_path / "store"), workers=2, backend="thread"
+            store=ArtifactStore(tmp_path / "store"), workers=2
         ) as (_, client):
             results = client.batch(records)
         assert len(results) == len(reference) == len(records)
@@ -237,21 +249,6 @@ class TestStreamedBatchParity:
             if warm_result["kind"] != "compare":
                 assert warm_result["cache_tier"] == "disk"
 
-    def test_process_backend_parity(self, requests_jsonl, tmp_path):
-        path, records = requests_jsonl
-        store_dir = tmp_path / "store"
-        with running_server(store=ArtifactStore(store_dir)) as (_, client):
-            serial = client.batch(records)
-        with running_server(
-            store=ArtifactStore(tmp_path / "store2"), workers=2, backend="process"
-        ) as (server, client):
-            # Open the process pool before handler threads go to work, to
-            # keep the fork away from actively-serving threads.
-            server.service.engine_server.worker_pool.executor()
-            parallel = client.batch(records)
-        for serial_result, parallel_result in zip(serial, parallel):
-            assert stable(serial_result) == stable(parallel_result)
-
 
 class TestIncrementalStreaming:
     def test_fast_unit_arrives_while_slow_unit_still_runs(
@@ -273,7 +270,7 @@ class TestIncrementalStreaming:
             {"source": alpha, "spec": {"type": "profile", "num_random": 2, "seed": 0}},
             {"source": beta, "spec": {"type": "count"}},
         ]
-        with running_server(workers=2, backend="thread") as (_, client):
+        with running_server(workers=2) as (_, client):
             stream = client.batch_stream(requests)
             first = next(stream)
             # The count's record arrived although the profile (requested
@@ -304,7 +301,7 @@ class TestIncrementalStreaming:
         requests = [
             {"source": alpha, "spec": {"type": "profile", "num_random": 2, "seed": 0}}
         ]
-        with running_server(workers=2, backend="thread") as (server, client):
+        with running_server(workers=2) as (server, client):
             outcome = {}
 
             def consume():
@@ -473,6 +470,46 @@ class TestTransportLatency:
                 timings.append(time.perf_counter() - started)
         p50 = sorted(timings)[len(timings) // 2]
         assert p50 < 0.010, f"warm single count p50 {1e3 * p50:.1f} ms"
+
+
+class TestConcurrentRequests:
+    def test_requests_on_one_dataset_overlap_on_a_one_worker_server(
+        self, datasets
+    ):
+        # A one-worker service runs each batch on its own handler thread, so
+        # two clients' units share the dataset's engine at the same time.
+        alpha, _ = datasets
+
+        def aplus(client, seed):
+            spec = {"type": "count", "algorithm": "mochy-a+", "num_samples": 40}
+            return client.batch([{"source": alpha, "spec": dict(spec, seed=seed)}])
+
+        with running_server() as (server, client):
+            client.batch([{"source": alpha, "spec": {"type": "count"}}])  # warm
+            clients = [ServiceClient(port=server.port, timeout=60.0) for _ in "ab"]
+            with faults.injected("serve.unit", mode="sleep", seconds=0.5, times=None):
+                started = time.monotonic()
+                with ThreadPoolExecutor(2) as callers:
+                    batches = list(callers.map(aplus, clients, (1, 2)))
+                elapsed = time.monotonic() - started
+            for other in clients:
+                other.close()
+        # Each unit sleeps 0.5 s on the engine: in turn they take >= 1.0 s.
+        assert elapsed < 0.9
+        assert [len(batch) for batch in batches] == [1, 1]
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_build_server_opens_a_pool_only_beyond_one_worker(self, workers):
+        server = build_server(port=0, store=False, workers=workers)
+        try:
+            pool = server.service.engine_server.worker_pool
+            if workers == 1:
+                assert pool is None
+            else:
+                assert pool.workers == workers and not pool.started
+        finally:
+            server.server_close()
+            server.service.close()
 
 
 class TestClient:
