@@ -1058,7 +1058,9 @@ class MotifEngine:
         """(projection, seconds spent building it now, served-from-cache).
 
         Loaded or built once: concurrent first callers wait on the engine
-        lock, then find the projection the first one published.
+        lock, then find the projection the first one published. The build
+        is persisted after the lock is released, so memo reads and writes
+        never wait on a store write.
         """
         projection = self._projection
         if projection is not None:
@@ -1083,11 +1085,11 @@ class MotifEngine:
             with Timer() as timer:
                 projection = self._projection = project(hypergraph)
             self._projection_builds += 1
-            self._save(
-                codecs.KIND_PROJECTION,
-                codecs.projection_params(),
-                lambda: codecs.encode_projection(projection),
-            )
+        self._save(
+            codecs.KIND_PROJECTION,
+            codecs.projection_params(),
+            lambda: codecs.encode_projection(projection),
+        )
         return projection, timer.elapsed, False
 
     def _counting_projection(self, spec: CountSpec):

@@ -34,10 +34,7 @@ Faults are armed either **in-process** via :func:`inject` (or the
 to fault fields — which child processes inherit (a ``repro-mochy serve``
 started by a smoke script, the store's multi-process writers). An
 environment fault cannot decrement a shared ``times`` counter across
-processes, so one-shot semantics there use ``once_path``: a latch file
-created atomically (``O_CREAT | O_EXCL``) by whichever process fires first;
-every later match sees the latch and stays quiet, so a fault armed for a
-whole process tree fires *exactly once*.
+processes, so it fires on every match in every process that inherits it.
 
 Modes
 -----
@@ -91,7 +88,6 @@ class Fault:
     times: Optional[int] = 1
     seconds: float = 0.0
     key: Optional[str] = None
-    once_path: Optional[str] = None
     message: str = ""
 
     def __post_init__(self) -> None:
@@ -126,14 +122,13 @@ def inject(
     times: Optional[int] = 1,
     seconds: float = 0.0,
     key: Optional[str] = None,
-    once_path: Optional[str] = None,
     message: str = "",
 ) -> Fault:
     """Arm one fault at *point* for this process (see the module docstring).
 
     ``times`` bounds how often it fires (``None`` = every match); ``key``
-    restricts it to matching call-site contexts; ``once_path`` adds the
-    cross-process one-shot latch. Re-injecting a point replaces its fault.
+    restricts it to matching call-site contexts. Re-injecting a point
+    replaces its fault.
     """
     fault = Fault(
         point=point,
@@ -141,7 +136,6 @@ def inject(
         times=times,
         seconds=seconds,
         key=key,
-        once_path=once_path,
         message=message,
     )
     with _lock:
@@ -178,7 +172,7 @@ def encode_env(faults: Mapping[str, Mapping[str, Any]]) -> str:
     """Render fault specs into the :data:`ENV_FAULTS` wire form.
 
     ``faults`` maps point names to :class:`Fault` field mappings, e.g.
-    ``{"store.disk_write": {"mode": "crash", "once_path": "/tmp/latch"}}``.
+    ``{"serve.unit": {"mode": "sleep", "seconds": 2.0}}``.
     Specs are validated here so a typo fails the test arming the fault, not
     silently in a child process.
     """
@@ -204,43 +198,23 @@ def _from_env(point: str) -> Optional[Fault]:
 
 
 def _consume(point: str, key: Optional[str], mode_filter: tuple) -> Optional[Fault]:
-    """The fault to act on at *point* right now, honoring counters/latches."""
+    """The fault to act on at *point* right now, honoring ``times``."""
     with _lock:
         fault = _registry.get(point)
         if fault is not None:
             if fault.mode not in mode_filter or not fault.matches(key):
-                return None
-            if fault.once_path is not None and not _latch(fault.once_path):
                 return None
             if fault.times is not None:
                 fault.times -= 1
                 if fault.times == 0:
                     del _registry[point]
             return fault
+    # Environment faults cannot share a counter across processes: they fire
+    # on every match.
     fault = _from_env(point)
     if fault is None or fault.mode not in mode_filter or not fault.matches(key):
         return None
-    # Environment faults cannot share a counter across processes; one-shot
-    # semantics come from the latch file (atomic O_EXCL create, first
-    # process wins). A latchless env fault fires on every match.
-    if fault.once_path is not None and not _latch(fault.once_path):
-        return None
     return fault
-
-
-def _latch(path: str) -> bool:
-    """Win the cross-process one-shot latch at *path*; ``False`` if taken."""
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-    except FileExistsError:
-        return False
-    except OSError:
-        return True  # unlatchable path: fire rather than silently disarm
-    try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
-    finally:
-        os.close(fd)
-    return True
 
 
 def fire(point: str, key: Optional[str] = None) -> None:

@@ -127,16 +127,6 @@ class TestFaultRegistry:
         with pytest.raises(faults.InjectedFault, match="from the environment"):
             faults.fire("x.point")
 
-    def test_once_path_latch_is_single_shot(self, tmp_path):
-        latch = tmp_path / "latch"
-        os.environ[faults.ENV_FAULTS] = faults.encode_env(
-            {"x.point": {"mode": "error", "once_path": str(latch)}}
-        )
-        with pytest.raises(faults.InjectedFault):
-            faults.fire("x.point")
-        faults.fire("x.point")  # the latch file holds it down now
-        assert latch.exists()
-
     def test_malformed_env_spec_never_breaks_production(self):
         os.environ[faults.ENV_FAULTS] = "{not json"
         faults.fire("x.point")

@@ -35,7 +35,7 @@ from repro.exceptions import SpecError
 from repro.generators import generate_uniform_random
 from repro.generators.temporal import generate_temporal_coauthorship
 from repro.hypergraph.builders import TemporalHypergraph
-from repro.store import ArtifactStore, faults
+from repro.store import ArtifactStore, codecs, faults
 from repro.store.executors import dispatch_spec
 from repro.store.serve import EngineServer, ServeRequest
 
@@ -170,6 +170,36 @@ class TestBuiltOnce:
         graphs = _run_together([lambda: engine.hypergraph] * 4)
         assert len(windows) == 1
         assert all(graph is graphs[0] for graph in graphs)
+
+    def test_saving_the_projection_holds_up_no_memo_call(
+        self, hypergraph, tmp_path, monkeypatch
+    ):
+        saving, release = threading.Event(), threading.Event()
+        original = codecs.encode_projection
+
+        def held_encode(projection):
+            saving.set()
+            release.wait(timeout=30)
+            return original(projection)
+
+        monkeypatch.setattr(codecs, "encode_projection", held_encode)
+        engine = MotifEngine(hypergraph, store=ArtifactStore(tmp_path / "store"))
+        threads = ThreadPoolExecutor(2)
+        try:
+            built = threads.submit(engine.count, CountSpec())
+            assert saving.wait(timeout=30)
+            # The projection is published and its save is held: another
+            # count reads it and fills the memo without waiting for the save.
+            other = threads.submit(engine.count, _seeded_aplus(1))
+            assert other.result(timeout=10).projection_cached
+        finally:
+            release.set()
+            threads.shutdown()
+        built.result(timeout=30)
+        assert engine.num_projection_builds == 1
+        fresh = MotifEngine(hypergraph, store=ArtifactStore(tmp_path / "store"))
+        assert fresh.count().projection_cached  # the save still landed
+        assert fresh.num_projection_builds == 0
 
     def test_a_failed_build_leaves_the_engine_usable(self, hypergraph, monkeypatch):
         original = engine_module.project

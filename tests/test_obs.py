@@ -298,6 +298,23 @@ class TestServingCounts:
         assert wait.child_count() == 2
         assert turnaround.child_count() == 2
 
+    def test_warm_resubmit_lands_disk_tier_counts(self, datasets, tmp_path):
+        alpha, beta = datasets
+        requests = [
+            ServeRequest(alpha, CountSpec()),
+            ServeRequest(beta, CountSpec()),
+        ]
+        cold = EngineServer(store=ArtifactStore(tmp_path / "store"))
+        assert len(cold.submit(requests, workers=2)) == 2
+        assert serve_mod.SERVE_CACHE_TIER_TOTAL.value(tier="computed") == 2
+        # A fresh server on the same directory starts with empty engines and
+        # an empty memory tier, so its pool units read the disk tier.
+        warm = EngineServer(store=ArtifactStore(tmp_path / "store"))
+        assert len(warm.submit(requests, workers=2)) == 2
+        assert serve_mod.SERVE_CACHE_TIER_TOTAL.value(tier="disk") == 2
+        assert serve_mod.SERVE_CACHE_TIER_TOTAL.value(tier="computed") == 2
+        assert executors_mod.UNIT_TURNAROUND_SECONDS.child_count() == 4
+
 
 # ---------------------------------------------------------------------- trace
 
