@@ -20,7 +20,7 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro.counting import CountingRun, run_counting
+from repro.api import CountResult, CountSpec, MotifEngine
 from repro.generators import build_corpus, dataset_domain
 from repro.hypergraph import Hypergraph
 from repro.profile import CharacteristicProfile, characteristic_profile
@@ -65,13 +65,13 @@ def corpus() -> Dict[str, Tuple[Hypergraph, str]]:
 
 
 @pytest.fixture(scope="session")
-def corpus_runs(corpus) -> Dict[str, CountingRun]:
+def corpus_runs(corpus) -> Dict[str, CountResult]:
     """Counting runs (counts + timings) for every corpus dataset."""
-    runs: Dict[str, CountingRun] = {}
+    runs: Dict[str, CountResult] = {}
     for name, (hypergraph, domain) in corpus.items():
         algorithm, ratio = algorithm_for(domain)
-        runs[name] = run_counting(
-            hypergraph, algorithm=algorithm, sampling_ratio=ratio, seed=0
+        runs[name] = MotifEngine(hypergraph).count(
+            CountSpec(algorithm=algorithm, sampling_ratio=ratio, seed=0)
         )
     return runs
 

@@ -47,7 +47,6 @@ from repro.counting import (
     count_exact,
     count_motifs,
     enumerate_instances,
-    run_counting,
 )
 from repro.randomization import chung_lu_hypergraph, random_motif_counts, randomize
 from repro.profile import (
@@ -110,7 +109,6 @@ __all__ = [
     "count_approx_edge_sampling",
     "count_approx_wedge_sampling",
     "count_motifs",
-    "run_counting",
     "enumerate_instances",
     "chung_lu_hypergraph",
     "randomize",

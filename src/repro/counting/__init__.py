@@ -28,10 +28,8 @@ from repro.counting.runner import (
     ALGORITHM_EXACT,
     ALGORITHM_WEDGE_SAMPLING,
     ALGORITHMS,
-    CountingRun,
     count_motifs,
     resolve_algorithm,
-    run_counting,
 )
 
 __all__ = [
@@ -54,8 +52,6 @@ __all__ = [
     "ALGORITHM_EXACT",
     "ALGORITHM_EDGE_SAMPLING",
     "ALGORITHM_WEDGE_SAMPLING",
-    "CountingRun",
     "count_motifs",
     "resolve_algorithm",
-    "run_counting",
 ]

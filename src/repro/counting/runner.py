@@ -1,12 +1,10 @@
-"""Legacy high-level entry points for h-motif counting.
+"""The one-call counting entry point and the registry of algorithm names.
 
-.. deprecated::
-    :func:`count_motifs` and :func:`run_counting` are kept as thin shims over
-    :class:`repro.api.MotifEngine` so existing callers, tests and benchmarks
-    keep working bit-identically. New code should construct an engine and a
-    :class:`repro.api.CountSpec` directly — the engine caches the projection
-    and memoizes results across workflows, which these one-shot functions
-    cannot.
+:func:`count_motifs` is a thin shim over :class:`repro.api.MotifEngine`,
+bit-identical to it. Code that counts more than once should construct an
+engine and a :class:`repro.api.CountSpec` directly — the engine caches the
+projection and memoizes results across workflows, which a one-shot function
+cannot.
 
 The algorithm-name constants and :func:`resolve_algorithm` remain the
 canonical registry of MoCHy variant names (the spec layer builds on them).
@@ -14,7 +12,6 @@ canonical registry of MoCHy variant names (the spec layer builds on them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import SamplingError
@@ -38,22 +35,6 @@ ALGORITHM_ALIASES = {
     ALGORITHM_EDGE_SAMPLING: ALGORITHM_EDGE_SAMPLING,
     ALGORITHM_WEDGE_SAMPLING: ALGORITHM_WEDGE_SAMPLING,
 }
-
-
-@dataclass(frozen=True)
-class CountingRun:
-    """Result of one counting run, with timing metadata."""
-
-    counts: MotifCounts
-    algorithm: str
-    num_samples: Optional[int]
-    projection_seconds: float
-    counting_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        """Projection plus counting time."""
-        return self.projection_seconds + self.counting_seconds
 
 
 def resolve_algorithm(name: str) -> str:
@@ -96,32 +77,6 @@ def count_motifs(
         Worker processes the counter splits its work over; results are
         bit-identical for every value.
     """
-    return run_counting(
-        hypergraph,
-        algorithm=algorithm,
-        num_samples=num_samples,
-        sampling_ratio=sampling_ratio,
-        num_workers=num_workers,
-        seed=seed,
-        projection=projection,
-    ).counts
-
-
-def run_counting(
-    hypergraph: Hypergraph,
-    algorithm: str = ALGORITHM_EXACT,
-    num_samples: Optional[int] = None,
-    sampling_ratio: Optional[float] = None,
-    num_workers: int = 1,
-    seed: SeedLike = None,
-    projection: Optional[ProjectedGraph] = None,
-) -> CountingRun:
-    """As :func:`count_motifs`, but also reporting timing metadata.
-
-    .. deprecated:: use :meth:`repro.api.MotifEngine.count`, whose
-       :class:`repro.api.CountResult` carries the same metadata plus
-       projection-cache information.
-    """
     # Imported here: repro.api builds on the counting layer, so a module-level
     # import would be circular.
     from repro.api.config import CountSpec
@@ -134,11 +89,4 @@ def run_counting(
         num_workers=num_workers,
         seed=seed,
     )
-    result = MotifEngine(hypergraph, projection=projection).count(spec)
-    return CountingRun(
-        counts=result.counts,
-        algorithm=result.algorithm,
-        num_samples=result.num_samples,
-        projection_seconds=result.projection_seconds,
-        counting_seconds=result.counting_seconds,
-    )
+    return MotifEngine(hypergraph, projection=projection).count(spec).counts

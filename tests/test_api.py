@@ -512,17 +512,6 @@ class TestTemporalEngine:
 
 
 class TestLegacyShims:
-    def test_run_counting_matches_engine(self, small_random_hypergraph):
-        from repro.counting import run_counting
-
-        run = run_counting(small_random_hypergraph, algorithm="mochy-a", num_samples=7, seed=2)
-        direct = MotifEngine(small_random_hypergraph).count(
-            CountSpec(algorithm="mochy-a", num_samples=7, seed=2)
-        )
-        assert run.counts == direct.counts
-        assert run.algorithm == direct.algorithm
-        assert run.num_samples == direct.num_samples
-
     def test_characteristic_profile_matches_engine(self, small_random_hypergraph):
         from repro.profile import characteristic_profile
 

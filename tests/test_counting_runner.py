@@ -1,9 +1,10 @@
-"""Tests for the high-level counting runner."""
+"""Tests for the high-level counting entry points."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import CountSpec, MotifEngine
 from repro.counting import (
     ALGORITHM_EDGE_SAMPLING,
     ALGORITHM_EXACT,
@@ -11,7 +12,6 @@ from repro.counting import (
     count_exact,
     count_motifs,
     resolve_algorithm,
-    run_counting,
 )
 from repro.exceptions import SamplingError
 from repro.projection import project
@@ -88,9 +88,9 @@ class TestCountMotifs:
         assert counts.total() == count_exact(small_random_hypergraph, projection).total()
 
 
-class TestRunCounting:
+class TestEngineCount:
     def test_metadata_for_exact(self, small_random_hypergraph):
-        run = run_counting(small_random_hypergraph, algorithm="exact")
+        run = MotifEngine(small_random_hypergraph).count(CountSpec(algorithm="exact"))
         assert run.algorithm == ALGORITHM_EXACT
         assert run.num_samples is None
         assert run.projection_seconds >= 0
@@ -100,12 +100,14 @@ class TestRunCounting:
         )
 
     def test_metadata_for_sampling(self, small_random_hypergraph):
-        run = run_counting(
-            small_random_hypergraph, algorithm="mochy-a+", sampling_ratio=0.2, seed=0
+        run = MotifEngine(small_random_hypergraph).count(
+            CountSpec(algorithm="mochy-a+", sampling_ratio=0.2, seed=0)
         )
         assert run.algorithm == ALGORITHM_WEDGE_SAMPLING
         assert run.num_samples >= 1
 
-    def test_parallel_exact_through_runner(self, small_random_hypergraph):
-        run = run_counting(small_random_hypergraph, algorithm="exact", num_workers=2)
+    def test_parallel_exact_through_engine(self, small_random_hypergraph):
+        run = MotifEngine(small_random_hypergraph).count(
+            CountSpec(algorithm="exact", num_workers=2)
+        )
         assert run.counts.to_dict() == count_exact(small_random_hypergraph).to_dict()

@@ -14,8 +14,8 @@ from repro import (
     profile_correlation,
 )
 from repro.analysis import real_vs_random
+from repro.api import CountSpec, MotifEngine
 from repro.baselines import graph_similarity_matrix, network_motif_profile
-from repro.counting import run_counting
 from repro.motifs.patterns import NUM_MOTIFS
 from repro.profile import domain_separation
 
@@ -131,6 +131,8 @@ class TestCountingPipeline:
 
     def test_runner_reports_timing(self, mini_corpus):
         hypergraph, _ = mini_corpus["contact-a"]
-        run = run_counting(hypergraph, algorithm="mochy-a+", sampling_ratio=0.3, seed=0)
+        run = MotifEngine(hypergraph).count(
+            CountSpec(algorithm="mochy-a+", sampling_ratio=0.3, seed=0)
+        )
         assert run.total_seconds > 0
         assert run.counts.total() > 0
