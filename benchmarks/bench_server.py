@@ -75,11 +75,11 @@ def _serve_one_batch(store_dir: Path, dataset_path: Path):
     loop = threading.Thread(target=server.serve_forever, daemon=True)
     loop.start()
     try:
-        client = ServiceClient(port=server.port, timeout=600.0)
-        client.wait_until_healthy(timeout=30.0)
-        start = time.perf_counter()
-        results = client.batch(_requests(dataset_path))
-        elapsed = time.perf_counter() - start
+        with ServiceClient(port=server.port, timeout=600.0) as client:
+            client.wait_until_healthy(timeout=30.0)
+            start = time.perf_counter()
+            results = client.batch(_requests(dataset_path))
+            elapsed = time.perf_counter() - start
     finally:
         shutdown_gracefully(server, drain_seconds=10.0)
     return elapsed, results

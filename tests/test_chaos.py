@@ -69,6 +69,7 @@ def _wait_for_in_flight(server, count, timeout=30.0):
 def running_server(request):
     """Factory for a live service on a free port, drained at teardown."""
     servers = []
+    clients = []
 
     def start(**kwargs):
         kwargs.setdefault("store", False)
@@ -78,10 +79,13 @@ def running_server(request):
         ).start()
         servers.append(server)
         client = ServiceClient(port=server.port, timeout=60.0)
+        clients.append(client)
         client.wait_until_healthy()
         return server, client
 
     yield start
+    for client in clients:
+        client.close()
     for server in servers:
         shutdown_gracefully(server, drain_seconds=10.0)
 
@@ -260,13 +264,12 @@ class TestServiceChaos:
         _wait_for_in_flight(server, 0)  # the warm batch gave its slot back
         faults.inject("serve.unit", mode="sleep", seconds=2.0, key=DATASET_A)
         occupied = {}
-        occupant = threading.Thread(
-            target=lambda: occupied.update(
-                results=ServiceClient(port=server.port, timeout=30.0).batch(
-                    _wire_requests(DATASET_A)
-                )
-            )
-        )
+
+        def occupy():
+            with ServiceClient(port=server.port, timeout=30.0) as other:
+                occupied.update(results=other.batch(_wire_requests(DATASET_A)))
+
+        occupant = threading.Thread(target=occupy)
         occupant.start()
         try:
             _wait_for_in_flight(server, 1)  # the occupant took the only slot

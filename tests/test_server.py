@@ -110,10 +110,11 @@ def running_server(store=False, **kwargs):
     )
     loop.start()
     client = ServiceClient(port=server.port, timeout=60.0)
-    client.wait_until_healthy()
     try:
+        client.wait_until_healthy()
         yield server, client
     finally:
+        client.close()
         shutdown_gracefully(server, drain_seconds=10.0)
 
 
