@@ -1,4 +1,4 @@
-"""Per-triple classification and the counters' kernel seam.
+"""Per-triple classification and the per-triple projection protocol.
 
 :func:`classify_triple` computes ``h({e_i, e_j, e_k})`` for one triple drawn
 from the projected graph: hyperedge sizes come from the hypergraph, pairwise
@@ -6,15 +6,14 @@ overlaps from the projection (hyperwedge weights ``ω``), and the triple
 overlap is computed by scanning the smallest hyperedge (Lemma 2). It serves
 the instance-level walk (``enumerate_instances``) and the test oracle in
 :mod:`repro.fastcore.reference`. The counters themselves run the batched
-fast-core kernels, reached through :func:`kernel_source`, and have no
-per-triple fallback.
+fast-core kernels on the projection (see
+:func:`repro.counting.parallel.fan_out`) and have no per-triple fallback.
 """
 
 from __future__ import annotations
 
 from typing import Protocol
 
-from repro.exceptions import ProjectionError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.motifs.classify import classify_instance
 
@@ -24,8 +23,9 @@ class NeighborhoodProvider(Protocol):
 
     Both :class:`repro.projection.ProjectedGraph` and
     :class:`repro.projection.LazyProjection` satisfy it. The counters
-    additionally need the block interface of :func:`kernel_source`; the
-    per-triple walks of ``enumerate_instances`` and
+    additionally need the block interface that both serve through their
+    base class :class:`~repro.projection.projected_graph.NeighborhoodRows`;
+    the per-triple walks of ``enumerate_instances`` and
     :mod:`repro.fastcore.reference` need only these two methods.
     """
 
@@ -34,47 +34,6 @@ class NeighborhoodProvider(Protocol):
 
     def overlap(self, i: int, j: int) -> int:  # pragma: no cover - protocol
         ...
-
-
-def fast_adjacency(projection: NeighborhoodProvider):
-    """The provider's CSR adjacency arrays, or ``None`` if it has none.
-
-    Any provider exposing ``adjacency_arrays()`` (today
-    :class:`repro.projection.ProjectedGraph`) yields a fully materialized
-    :class:`~repro.fastcore.projection.AdjacencyArrays` — the picklable form
-    the counters' fan-out ships to worker processes.
-    """
-    getter = getattr(projection, "adjacency_arrays", None)
-    return getter() if getter is not None else None
-
-
-#: Methods a provider must expose to drive the batched block kernels.
-_KERNEL_SOURCE_METHODS = ("gather_rows", "row_lengths", "pair_weights")
-
-
-def kernel_source(projection: NeighborhoodProvider):
-    """The block-kernel source every counter runs on.
-
-    Full projections resolve to their
-    :class:`~repro.fastcore.projection.AdjacencyArrays`; any other provider
-    implementing the gather/lookup interface (today
-    :class:`repro.projection.LazyProjection`) is consumed directly, so the
-    memory-budgeted projection runs the same vectorized sweeps. A provider
-    with neither raises :class:`~repro.exceptions.ProjectionError` naming
-    the methods it lacks.
-    """
-    arrays = fast_adjacency(projection)
-    if arrays is not None:
-        return arrays
-    missing = [
-        name for name in _KERNEL_SOURCE_METHODS if not hasattr(projection, name)
-    ]
-    if missing:
-        raise ProjectionError(
-            f"{type(projection).__name__} cannot drive the block kernels: it "
-            f"lacks adjacency_arrays and {', '.join(missing)}"
-        )
-    return projection
 
 
 def classify_triple(

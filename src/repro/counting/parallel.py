@@ -8,7 +8,8 @@ in the calling process (all hyperedges, or its seeded sample), and with
 ``num_workers > 1`` the anchors are split into contiguous chunks, each chunk
 runs the counter's block kernel in a worker process, and the chunk vectors
 are summed. Workers receive only the CSR arrays of the hypergraph and of the
-built-once projection — plain NumPy buffers, never a pickled frozenset graph.
+built-once projection — a :class:`~repro.projection.ProjectedGraph` pickles
+as its three arrays, never as a frozenset graph.
 
 Kernel outputs are whole numbers held in float64, so the sum is exact and the
 counts are bit-identical for every worker count. For MoCHy-E each chunk
@@ -25,35 +26,16 @@ is left open.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.counting.classification import NeighborhoodProvider, kernel_source
+from repro.counting.classification import NeighborhoodProvider
 from repro.exceptions import ProjectionError
-from repro.fastcore.projection import AdjacencyArrays
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.motifs.counts import MotifCounts
-
-#: Executor backends of :func:`make_executor`.
-BACKEND_PROCESS = "process"
-BACKEND_THREAD = "thread"
-_BACKENDS = (BACKEND_PROCESS, BACKEND_THREAD)
-
-
-def make_executor(backend: str, num_workers: int) -> Executor:
-    """A ``concurrent.futures`` executor for one of the supported backends.
-
-    Shared by the counters' fan-out here and the serving executors in
-    :mod:`repro.store.executors`, so it is the one place that constructs a
-    worker pool.
-    """
-    if backend == BACKEND_PROCESS:
-        return ProcessPoolExecutor(max_workers=num_workers)
-    if backend == BACKEND_THREAD:
-        return ThreadPoolExecutor(max_workers=num_workers)
-    raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+from repro.projection.projected_graph import NeighborhoodRows, ProjectedGraph
 
 
 def fan_out(
@@ -63,27 +45,37 @@ def fan_out(
     anchors: Sequence,
     num_workers: int,
 ) -> MotifCounts:
-    """``kernel(csr, source, anchors)`` split across *num_workers* processes.
+    """``kernel(csr, projection, anchors)`` split across *num_workers* processes.
 
     *kernel* is a fast-core block kernel; *anchors* are hyperedge indices or
     an ``(n, 2)`` array of hyperwedges.
 
-    Runs serially when ``num_workers == 1`` or when there are fewer than two
-    anchors per worker. Workers need the projection's CSR arrays, so a
-    provider without them (a budgeted
-    :class:`~repro.projection.LazyProjection`) raises
-    :class:`~repro.exceptions.ProjectionError` whenever ``num_workers > 1``.
+    The projection must serve the kernels' block interface, which both
+    providers inherit from
+    :class:`~repro.projection.projected_graph.NeighborhoodRows`; any other
+    object raises :class:`~repro.exceptions.ProjectionError`. Runs serially
+    when ``num_workers == 1`` or when there are fewer than two anchors per
+    worker. Workers receive the projection's CSR arrays, so a budgeted
+    :class:`~repro.projection.LazyProjection` raises whenever
+    ``num_workers > 1``.
     """
-    csr = hypergraph.csr()
-    source = kernel_source(projection)
-    if num_workers > 1 and not isinstance(source, AdjacencyArrays):
+    if not isinstance(projection, NeighborhoodRows):
+        raise ProjectionError(
+            f"{type(projection).__name__} cannot drive the block kernels: "
+            "count over a ProjectedGraph or a LazyProjection, which serve "
+            "gather_rows, row_lengths and pair_weights"
+        )
+    if num_workers > 1 and not isinstance(projection, ProjectedGraph):
         raise ProjectionError(
             f"{type(projection).__name__} has no CSR arrays to ship to worker "
             "processes; count with num_workers=1 or over a full projection"
         )
+    csr = hypergraph.csr()
     if num_workers == 1 or len(anchors) < 2 * num_workers:
-        return MotifCounts(kernel(csr, source, anchors))
+        return MotifCounts(kernel(csr, projection, anchors))
     chunks = np.array_split(np.asarray(anchors), num_workers)
-    with make_executor(BACKEND_PROCESS, num_workers) as executor:
-        futures = [executor.submit(kernel, csr, source, chunk) for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=num_workers) as executor:
+        futures = [
+            executor.submit(kernel, csr, projection, chunk) for chunk in chunks
+        ]
         return MotifCounts(sum(future.result() for future in futures))

@@ -34,8 +34,7 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.motifs.counts import MotifCounts
 from repro.motifs.patterns import NUM_MOTIFS, open_motif_indices
 from repro.projection.builder import project
-from repro.projection.lazy import LazyProjection
-from repro.projection.projected_graph import ProjectedGraph
+from repro.projection.projected_graph import NeighborhoodRows
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_positive_int
 
@@ -150,7 +149,7 @@ def run_wedge_sampling(
 
 
 def _num_hyperwedges(projection: NeighborhoodProvider) -> int:
-    if isinstance(projection, (ProjectedGraph, LazyProjection)):
+    if isinstance(projection, NeighborhoodRows):
         return projection.num_hyperwedges
     raise SamplingError(
         "cannot enumerate hyperwedges from this projection type; "

@@ -7,8 +7,9 @@ batched NumPy kernels that every hot path of the library routes through:
   as sorted dense node-id runs plus the transposed node→edge memberships.
 * :mod:`repro.fastcore.projection` — Algorithm 1 (hypergraph projection)
   rewritten as array merges (``bincount``/``argsort``/``reduceat``) producing
-  CSR adjacency ``(nbr_ptr, nbr_idx, nbr_weight)``, and the picklable
-  :class:`AdjacencyArrays` view the counting kernels consume.
+  CSR adjacency ``(nbr_ptr, nbr_idx, nbr_weight)``, which
+  :class:`repro.projection.ProjectedGraph` holds and serves to the counting
+  kernels.
 * :mod:`repro.fastcore.kernels` — batched h-motif classification, the one
   counting path of every MoCHy counter: anchors are packed into
   pair-budgeted blocks and each block's candidate triples are classified in
@@ -32,7 +33,6 @@ bit-identical to the reference implementations.
 
 from repro.fastcore.csr import HypergraphCSR, build_csr
 from repro.fastcore.projection import (
-    AdjacencyArrays,
     aggregate_cooccurrence,
     aggregate_pair_keys,
     build_projection_arrays,
@@ -48,7 +48,6 @@ from repro.fastcore.kernels import (
 __all__ = [
     "HypergraphCSR",
     "build_csr",
-    "AdjacencyArrays",
     "build_projection_arrays",
     "aggregate_cooccurrence",
     "aggregate_pair_keys",

@@ -52,13 +52,13 @@ from repro.exceptions import EmptyHyperedgeError
 from repro.fastcore.csr import INDEX_DTYPE, HypergraphCSR
 from repro.fastcore.kernels import count_exact_batched
 from repro.fastcore.projection import (
-    AdjacencyArrays,
     aggregate_cooccurrence,
     gather_row_positions,
     merge_partial_pairs,
     pairs_to_symmetric_csr,
 )
 from repro.hypergraph.hypergraph import _node_sort_key
+from repro.projection.projected_graph import ProjectedGraph
 
 Node = Hashable
 
@@ -115,7 +115,7 @@ class DeltaState:
         self,
         node_ids: Dict[Node, int],
         csr: HypergraphCSR,
-        adjacency: AdjacencyArrays,
+        adjacency: ProjectedGraph,
         pair_keys: np.ndarray,
         pair_counts: np.ndarray,
         counts: np.ndarray,
@@ -159,7 +159,7 @@ def initial_state(hyperedges: Iterable[Iterable[Node]] = ()) -> DeltaState:
     state = DeltaState(
         node_ids={},
         csr=_empty_csr(),
-        adjacency=AdjacencyArrays(
+        adjacency=ProjectedGraph(
             0,
             np.zeros(1, dtype=np.int64),
             np.empty(0, dtype=INDEX_DTYPE),
@@ -307,7 +307,7 @@ def apply_delta(
     pair_keys, pair_counts = merge_partial_pairs(
         ((rekeyed, state.pair_counts), (new_keys, new_counts))
     )
-    adjacency = AdjacencyArrays(
+    adjacency = ProjectedGraph(
         new_csr.num_edges,
         *pairs_to_symmetric_csr(pair_keys, pair_counts, new_csr.num_edges),
     )

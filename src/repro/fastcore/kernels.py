@@ -9,7 +9,7 @@ that last loop: anchors are packed into *blocks* bounded by a candidate-pair
 budget, and each block is processed by one vectorized sweep —
 
 * the neighborhoods of a whole block come from one CSR gather
-  (:meth:`AdjacencyArrays.gather_rows`, or a budgeted
+  (:meth:`~repro.projection.ProjectedGraph.gather_rows`, or a budgeted
   :class:`~repro.projection.lazy.LazyProjection` serving the same interface);
 * candidate pairs for every anchor in the block are enumerated together as
   positions in the gathered rows, length-bucketed so all rows of equal
@@ -237,7 +237,7 @@ def _gather_rows(
 
 
 def _check_vertex_range(values: np.ndarray, limit: int) -> None:
-    """Validate anchor/wedge ids, matching ``AdjacencyArrays.row``'s error."""
+    """Validate anchor/wedge ids, matching ``ProjectedGraph.row``'s error."""
     if values.size == 0:
         return
     low = int(values.min())

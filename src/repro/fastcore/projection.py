@@ -23,17 +23,17 @@ machinery. ``aggregate_cooccurrence``/``merge_partial_pairs`` are exposed
 separately so the delta engine (:mod:`repro.fastcore.delta`) can merge
 partial pair streams with the same array merge instead of dict unions.
 
-:class:`AdjacencyArrays` is the minimal picklable view of the result that the
-batched counting kernels (and worker processes) consume.
+The resulting arrays are held by :class:`repro.projection.ProjectedGraph`,
+which serves the batched counting kernels (and is what worker processes
+receive).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.exceptions import ProjectionError
 from repro.fastcore.csr import INDEX_DTYPE
 
 #: dtype used for hyperwedge weights (overlap sizes fit easily).
@@ -101,119 +101,6 @@ def upper_row_starts(ptr: np.ndarray, idx: np.ndarray) -> np.ndarray:
         hi[active[~below]] = mid[~below]
         active = active[lo[active] < hi[active]]
     return lo
-
-
-def hyperwedges_at(
-    source, offsets: np.ndarray, positions: np.ndarray
-) -> np.ndarray:
-    """The hyperwedges at *positions* of the lexicographic order of ``∧``.
-
-    ``offsets`` has ``|E| + 1`` entries: ``offsets[i]`` counts the hyperwedges
-    ``(a, b)``, ``a < b``, whose row ``a`` precedes ``i`` (one cumsum over the
-    per-row upper-triangle counts). A position maps to its row by
-    ``searchsorted`` and, within the row, indexes the sorted ids above the
-    diagonal, which are the row's last ids. Only the distinct rows hit are
-    gathered from *source* (anything serving ``gather_rows``). Returns an
-    ``(n, 2)`` int64 array whose row ``t`` equals
-    ``hyperwedge_list()[positions[t]]``.
-    """
-    positions = np.asarray(positions, dtype=np.int64).ravel()
-    if positions.size and (
-        int(positions.min()) < 0 or int(positions.max()) >= int(offsets[-1])
-    ):
-        raise ProjectionError(
-            f"hyperwedge positions must lie in [0, {int(offsets[-1])})"
-        )
-    rows = np.searchsorted(offsets, positions, side="right") - 1
-    distinct, inverse = np.unique(rows, return_inverse=True)
-    ids, _, lengths = source.gather_rows(distinct)
-    upper_begin = np.cumsum(lengths) - (offsets[distinct + 1] - offsets[distinct])
-    cols = ids[upper_begin[inverse] + positions - offsets[rows]]
-    return np.stack([rows, cols], axis=1)
-
-
-class AdjacencyArrays:
-    """Picklable CSR adjacency of a projected graph.
-
-    ``idx[ptr[i]:ptr[i+1]]`` are the neighbors of hyperedge ``i`` sorted
-    ascending and ``weight`` the matching overlap sizes, so
-
-    * a neighborhood is an O(1) pair of array slices,
-    * a single overlap ``ω(∧_ij)`` is one binary search in row ``i``,
-    * a *batch* of overlaps is one vectorized ``searchsorted`` against the
-      globally sorted key array ``row·|E| + col`` (cached lazily),
-    * a *block* of neighborhoods is one :meth:`gather_rows` call — the unit
-      the anchor-block counting kernels consume.
-    """
-
-    __slots__ = ("num_vertices", "ptr", "idx", "weight", "_keys")
-
-    def __init__(
-        self, num_vertices: int, ptr: np.ndarray, idx: np.ndarray, weight: np.ndarray
-    ) -> None:
-        self.num_vertices = int(num_vertices)
-        self.ptr = ptr
-        self.idx = idx
-        self.weight = weight
-        self._keys: Optional[np.ndarray] = None
-
-    def __getstate__(self) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        # Drop the lazy key cache: workers rebuild it on first batch lookup.
-        return (self.num_vertices, self.ptr, self.idx, self.weight)
-
-    def __setstate__(
-        self, state: Tuple[int, np.ndarray, np.ndarray, np.ndarray]
-    ) -> None:
-        self.num_vertices, self.ptr, self.idx, self.weight = state
-        self._keys = None
-
-    # ------------------------------------------------------------------ reads
-    def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(neighbor ids, weights)`` of vertex *i* as array slices."""
-        if not 0 <= i < self.num_vertices:
-            # Matches ProjectedGraph._check_vertex: a negative index would
-            # otherwise wrap into a silently empty (or wrong) slice.
-            raise ProjectionError(
-                f"vertex {i} out of range [0, {self.num_vertices})"
-            )
-        start, end = self.ptr[i], self.ptr[i + 1]
-        return self.idx[start:end], self.weight[start:end]
-
-    def keys(self) -> np.ndarray:
-        """Globally sorted int64 ``row·|E| + col`` keys of all entries."""
-        if self._keys is None:
-            rows = np.repeat(
-                np.arange(self.num_vertices, dtype=np.int64), np.diff(self.ptr)
-            )
-            self._keys = rows * max(self.num_vertices, 1) + self.idx
-        return self._keys
-
-    def pair_weights(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Vectorized ``ω(∧_{rows[t], cols[t]})`` lookups (0 where absent)."""
-        keys = self.keys()
-        query = rows.astype(np.int64) * max(self.num_vertices, 1) + cols
-        found, positions = sorted_member_positions(keys, query)
-        if keys.size == 0:
-            return np.zeros(len(rows), dtype=WEIGHT_DTYPE)
-        return np.where(found, self.weight[positions], 0).astype(WEIGHT_DTYPE)
-
-    def row_lengths(self, rows: np.ndarray) -> np.ndarray:
-        """Projected degrees of the given vertices as int64."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return (self.ptr[rows + 1] - self.ptr[rows]).astype(np.int64)
-
-    def gather_rows(
-        self, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated ``(neighbor ids, weights, lengths)`` of the given rows.
-
-        ``lengths[t]`` is the degree of ``rows[t]``; the id/weight arrays are
-        the rows laid out back to back, each sorted ascending by neighbor id.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        positions, _ = gather_row_positions(self.ptr, rows)
-        lengths = (self.ptr[rows + 1] - self.ptr[rows]).astype(np.int64)
-        return self.idx[positions], self.weight[positions], lengths
 
 
 #: Maximum pair occurrences materialized at once while building a projection
@@ -402,7 +289,7 @@ def neighborhood_arrays(
     The unit of work of the lazy projection: concatenate the membership rows
     of ``e_i``'s nodes and histogram them — each co-member appears once per
     shared node. Ids come back sorted ascending (``np.unique``), matching the
-    row ordering of :class:`AdjacencyArrays`.
+    row ordering of :class:`~repro.projection.ProjectedGraph`.
     """
     if edge_row.size == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -414,17 +301,3 @@ def neighborhood_arrays(
     neighbors, multiplicity = np.unique(members, return_counts=True)
     keep = neighbors != i
     return neighbors[keep].astype(np.int64), multiplicity[keep].astype(np.int64)
-
-
-def neighborhood_counts(
-    node_ptr: np.ndarray,
-    node_edges: np.ndarray,
-    edge_row: np.ndarray,
-    i: int,
-) -> Dict[int, int]:
-    """``{j: ω(∧_ij)}`` for one hyperedge from the membership rows."""
-    neighbors, multiplicity = neighborhood_arrays(node_ptr, node_edges, edge_row, i)
-    return {
-        int(j): int(w)
-        for j, w in zip(neighbors.tolist(), multiplicity.tolist())
-    }

@@ -2,8 +2,10 @@
 
 These are the pre-fastcore hot paths, verbatim in structure: Algorithm 1 as a
 tuple-keyed dict of overlap increments, and the MoCHy counters as per-triple
-``classify_triple`` calls. They are **not** used by the library's fast paths;
-they exist so that
+``classify_triple`` calls. The oracle's projection enters the array layout
+through :func:`projected_graph_from_mapping`, the one validated constructor of
+a :class:`ProjectedGraph` from a dict. They are **not** used by the library's
+fast paths; they exist so that
 
 * the parity test-suite (``tests/test_fastcore_parity.py``) can assert that
   the batched kernels return bit-identical ``MotifCounts``; and
@@ -20,12 +22,70 @@ only when the *semantics* of the counters change.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.counting.classification import NeighborhoodProvider, classify_triple
+from repro.exceptions import ProjectionError
+from repro.fastcore.projection import WEIGHT_DTYPE, pairs_to_symmetric_csr
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.motifs.counts import MotifCounts
 from repro.projection.projected_graph import ProjectedGraph
+
+
+def projected_graph_from_mapping(
+    num_hyperedges: int, adjacency: Mapping[int, Mapping[int, int]]
+) -> ProjectedGraph:
+    """The :class:`ProjectedGraph` of a symmetric ``i -> {j: ω(∧_ij)}`` mapping.
+
+    Checks what the CSR constructor trusts: vertices in range, no self-loops,
+    positive weights that fit the int32 layout, and symmetry.
+    """
+    if num_hyperedges < 0:
+        raise ProjectionError("num_hyperedges must be non-negative")
+    num_hyperedges = int(num_hyperedges)
+    normalized: Dict[int, Dict[int, int]] = {}
+    for i, neighbors in adjacency.items():
+        if not 0 <= i < num_hyperedges:
+            raise ProjectionError(f"vertex {i} out of range")
+        normalized[int(i)] = {int(j): int(w) for j, w in neighbors.items()}
+    limit = np.iinfo(WEIGHT_DTYPE).max
+    keys: List[int] = []
+    weights: List[int] = []
+    for i, neighbors in normalized.items():
+        for j, weight in neighbors.items():
+            if not 0 <= j < num_hyperedges:
+                raise ProjectionError(f"neighbor {j} of vertex {i} out of range")
+            if i == j:
+                raise ProjectionError(f"self-loop on vertex {i}")
+            if weight <= 0:
+                raise ProjectionError(
+                    f"hyperwedge ({i}, {j}) has non-positive weight {weight}"
+                )
+            if weight > limit:
+                # A silent int32 cast would wrap a huge weight negative.
+                raise ProjectionError(
+                    f"hyperwedge ({i}, {j}) weight {weight} exceeds the "
+                    f"supported maximum {limit}"
+                )
+            if normalized.get(j, {}).get(i) != weight:
+                raise ProjectionError(
+                    f"adjacency is not symmetric for pair ({i}, {j})"
+                )
+            if i < j:
+                # Upper-triangle (key, weight) pairs; the fast-core assembler
+                # mirrors them and builds the CSR pointers.
+                keys.append(i * max(num_hyperedges, 1) + j)
+                weights.append(weight)
+    return ProjectedGraph(
+        num_hyperedges,
+        *pairs_to_symmetric_csr(
+            np.array(keys, dtype=np.int64),
+            np.array(weights, dtype=np.int64),
+            num_hyperedges,
+        ),
+    )
 
 
 def project_reference(hypergraph: Hypergraph) -> ProjectedGraph:
@@ -42,7 +102,7 @@ def project_reference(hypergraph: Hypergraph) -> ProjectedGraph:
     for (i, j), weight in weights.items():
         adjacency.setdefault(i, {})[j] = weight
         adjacency.setdefault(j, {})[i] = weight
-    return ProjectedGraph(hypergraph.num_hyperedges, adjacency)
+    return projected_graph_from_mapping(hypergraph.num_hyperedges, adjacency)
 
 
 def count_exact_reference(

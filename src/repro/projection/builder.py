@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.fastcore.projection import build_projection_arrays, neighborhood_counts
+from repro.fastcore.projection import build_projection_arrays, neighborhood_arrays
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.projection.projected_graph import ProjectedGraph
 
@@ -24,7 +24,7 @@ def project(hypergraph: Hypergraph) -> ProjectedGraph:
     ptr, idx, weight = build_projection_arrays(
         csr.node_ptr, csr.node_edges, csr.num_edges
     )
-    return ProjectedGraph.from_csr(csr.num_edges, ptr, idx, weight)
+    return ProjectedGraph(csr.num_edges, ptr, idx, weight)
 
 
 def neighborhood_of(hypergraph: Hypergraph, i: int) -> Dict[int, int]:
@@ -36,4 +36,7 @@ def neighborhood_of(hypergraph: Hypergraph, i: int) -> Dict[int, int]:
     """
     hypergraph._check_edge_index(i)
     csr = hypergraph.csr()
-    return neighborhood_counts(csr.node_ptr, csr.node_edges, csr.edge_row(i), i)
+    ids, weights = neighborhood_arrays(
+        csr.node_ptr, csr.node_edges, csr.edge_row(i), i
+    )
+    return dict(zip(ids.tolist(), weights.tolist()))

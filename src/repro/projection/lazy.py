@@ -12,27 +12,25 @@ The cache is array-native: each memoized neighborhood is a pair of sorted
 ``(neighbor ids, weights)`` arrays computed by one vectorized histogram over
 the CSR membership rows (:func:`repro.fastcore.projection.neighborhood_arrays`).
 On top of :meth:`row`, the class serves the same block interface the batched
-counting kernels consume from :class:`~repro.fastcore.projection.AdjacencyArrays`
+counting kernels consume from :class:`~repro.projection.ProjectedGraph`
 (``gather_rows`` / ``row_lengths`` / ``pair_weights``), so ``--projection
 lazy`` runs through the exact same vectorized kernels as the full projection
-— only row *fetches* honor the budget. Dict-shaped accessors
-(:meth:`neighbors`, :meth:`overlap`) remain for the per-triple reference
-counters and provider-agnostic callers.
+— only row *fetches* honor the budget. The dict-shaped accessors
+(``neighbors``, ``overlap``) and the hyperwedge mapping come from
+:class:`~repro.projection.projected_graph.NeighborhoodRows`, shared with the
+full projection.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fastcore.projection import (
-    hyperwedges_at,
-    neighborhood_arrays,
-    sorted_member_positions,
-)
+from repro.fastcore.projection import neighborhood_arrays, sorted_member_positions
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.projection.projected_graph import NeighborhoodRows
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_non_negative_int
 
@@ -43,7 +41,7 @@ POLICY_RANDOM = "random"
 _POLICIES = (POLICY_DEGREE, POLICY_LRU, POLICY_RANDOM)
 
 
-class LazyProjection:
+class LazyProjection(NeighborhoodRows):
     """Neighborhood provider with a bounded memoization cache.
 
     Parameters
@@ -130,7 +128,7 @@ class LazyProjection:
             if self._policy == POLICY_LRU:
                 self._cache.move_to_end(i)
             return cached
-        self._hypergraph._check_edge_index(i)
+        self._check_vertex(i)
         csr = self._csr
         neighborhood = neighborhood_arrays(
             csr.node_ptr, csr.node_edges, csr.edge_row(i), i
@@ -138,25 +136,6 @@ class LazyProjection:
         self._computations += 1
         self._maybe_store(i, neighborhood)
         return neighborhood
-
-    def neighbors(self, i: int) -> Dict[int, int]:
-        """``{j: ω(∧_ij)}`` for hyperedge *i*, memoizing within the budget."""
-        ids, weights = self.row(i)
-        return {
-            int(j): int(w) for j, w in zip(ids.tolist(), weights.tolist())
-        }
-
-    def neighbor_indices(self, i: int) -> List[int]:
-        """Indices of hyperedges adjacent to *i*."""
-        return self.row(i)[0].tolist()
-
-    def overlap(self, i: int, j: int) -> int:
-        """``|e_i ∩ e_j|`` computed via the (possibly cached) neighborhood of *i*."""
-        ids, weights = self.row(i)
-        position = int(np.searchsorted(ids, j))
-        if position < ids.size and int(ids[position]) == j:
-            return int(weights[position])
-        return 0
 
     def hyperwedge_list(self) -> List[Tuple[int, int]]:
         """All hyperwedges ``(i, j)`` with ``i < j``, in lexicographic order.
@@ -172,31 +151,14 @@ class LazyProjection:
                 wedges.append((i, int(j)))
         return wedges
 
-    @property
-    def num_hyperwedges(self) -> int:
-        """``|∧|``; the first call scans every neighborhood once."""
-        return int(self._upper_offsets()[-1])
-
-    def hyperwedges_at(self, positions) -> np.ndarray:
-        """``hyperwedge_list()[p]`` for each ``p`` in *positions*, as ``(n, 2)``.
-
-        Only the rows the positions land in are fetched (budget honoured).
-        """
-        return hyperwedges_at(self, self._upper_offsets(), positions)
-
-    def _upper_offsets(self) -> np.ndarray:
-        """Per-row upper-triangle offsets (``|E| + 1`` integers), scanned once.
-
-        The scan fetches each neighborhood through :meth:`row`, so it honours
-        the memoization budget and keeps nothing ``O(|∧|)``.
-        """
-        if self._wedge_offsets is None:
-            upper = np.empty(self.num_hyperedges, dtype=np.int64)
-            for i in range(self.num_hyperedges):
-                ids, _ = self.row(i)
-                upper[i] = ids.size - np.searchsorted(ids, i, side="right")
-            self._wedge_offsets = np.concatenate(([0], np.cumsum(upper)))
-        return self._wedge_offsets
+    def _upper_counts(self) -> np.ndarray:
+        # One scan through row(), so it honours the memoization budget and
+        # keeps nothing O(|∧|).
+        upper = np.empty(self.num_hyperedges, dtype=np.int64)
+        for i in range(self.num_hyperedges):
+            ids, _ = self.row(i)
+            upper[i] = ids.size - np.searchsorted(ids, i, side="right")
+        return upper
 
     def prewarm(self, indices: Iterable[int]) -> None:
         """Eagerly compute (and memoize, budget permitting) the given neighborhoods."""
@@ -204,10 +166,10 @@ class LazyProjection:
             self.row(i)
 
     # ------------------------------------------------------- kernel interface
-    # The batched counting kernels drive any source exposing gather_rows /
-    # row_lengths / pair_weights (see AdjacencyArrays); serving them here
-    # means the lazy projection runs the same vectorized block sweeps, with
-    # only the row fetches subject to the memoization budget.
+    # The batched counting kernels drive gather_rows / row_lengths /
+    # pair_weights (as ProjectedGraph serves them); serving them here means
+    # the lazy projection runs the same vectorized block sweeps, with only
+    # the row fetches subject to the memoization budget.
 
     def row_lengths(self, rows: np.ndarray) -> np.ndarray:
         """Projected degrees of the given hyperedges (fetches their rows)."""

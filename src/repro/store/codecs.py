@@ -163,9 +163,8 @@ def encode_projection(
     projection: ProjectedGraph,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     """Render a projected graph as its raw CSR adjacency arrays."""
-    arrays = projection.adjacency_arrays()
     return (
-        {"ptr": arrays.ptr, "idx": arrays.idx, "weight": arrays.weight},
+        {"ptr": projection.ptr, "idx": projection.idx, "weight": projection.weight},
         {"num_vertices": int(projection.num_hyperedges)},
     )
 
@@ -187,7 +186,7 @@ def decode_projection(
         return None
     if len(ptr) and int(ptr[-1]) != len(idx):
         return None
-    return ProjectedGraph.from_csr(num_vertices, ptr, idx, weight)
+    return ProjectedGraph(num_vertices, ptr, idx, weight)
 
 
 # ----------------------------------------------------------------- predict

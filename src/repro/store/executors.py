@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.counting.parallel import BACKEND_THREAD, make_executor
 from repro.exceptions import SpecError
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import current_request_id, trace
@@ -184,7 +183,7 @@ class WorkerPool:
             if self._closed:
                 raise SpecError("worker pool is closed")
             if self._executor is None:
-                self._executor = make_executor(BACKEND_THREAD, self.workers)
+                self._executor = ThreadPoolExecutor(max_workers=self.workers)
             return self._executor
 
     def close(self, wait: bool = True) -> None:

@@ -164,9 +164,7 @@ def project_by_node_ranges(hypergraph: Hypergraph, parts: int) -> ProjectedGraph
     """The projected graph built by merging :func:`node_range_partials`."""
     num_edges = hypergraph.num_hyperedges
     keys, counts = merge_partial_pairs(node_range_partials(hypergraph, parts))
-    return ProjectedGraph.from_csr(
-        num_edges, *pairs_to_symmetric_csr(keys, counts, num_edges)
-    )
+    return ProjectedGraph(num_edges, *pairs_to_symmetric_csr(keys, counts, num_edges))
 
 
 @pytest.fixture

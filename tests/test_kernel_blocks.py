@@ -15,10 +15,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.counting.classification import fast_adjacency
 from repro.exceptions import MotifError, NotConnectedError
 from repro.fastcore import kernels
-from repro.fastcore.projection import AdjacencyArrays
 from repro.fastcore.reference import (
     count_containing_reference,
     count_exact_reference,
@@ -26,7 +24,7 @@ from repro.fastcore.reference import (
     project_reference,
 )
 from repro.generators import generate_uniform_random
-from repro.projection import LazyProjection, project
+from repro.projection import LazyProjection, ProjectedGraph, project
 
 
 @pytest.fixture()
@@ -34,8 +32,7 @@ def graph():
     hypergraph = generate_uniform_random(
         num_nodes=30, num_hyperedges=50, mean_size=3.5, max_size=7, seed=21
     )
-    projection = project(hypergraph)
-    return hypergraph, projection, fast_adjacency(projection)
+    return hypergraph, project(hypergraph)
 
 
 class TestTriuCacheAccounting:
@@ -165,45 +162,45 @@ class TestBlockBoundaries:
     def test_exact_counts_invariant_under_block_geometry(
         self, graph, monkeypatch, budget, block
     ):
-        hypergraph, _, adjacency = graph
+        hypergraph, projection = graph
         monkeypatch.setattr(kernels, "_BLOCK_PAIR_BUDGET", budget)
         monkeypatch.setattr(kernels, "_ANCHOR_BLOCK", block)
-        got = kernels.count_exact_batched(hypergraph.csr(), adjacency)
+        got = kernels.count_exact_batched(hypergraph.csr(), projection)
         assert np.array_equal(got, count_exact_reference(hypergraph).to_array())
 
     def test_hub_anchor_takes_the_chunked_pair_path(self, graph, monkeypatch):
-        hypergraph, _, adjacency = graph
+        hypergraph, projection = graph
         # Budget 1 makes every anchor a singleton "hub" whose pair total
         # exceeds the block budget; chunk size 7 forces several slabs per hub.
         monkeypatch.setattr(kernels, "_BLOCK_PAIR_BUDGET", 1)
         monkeypatch.setattr(kernels, "_PAIR_CHUNK", 7)
         batches = []
-        lookup = AdjacencyArrays.pair_weights
+        lookup = ProjectedGraph.pair_weights
 
         def spy(self, rows, cols):
             batches.append(len(rows))
             return lookup(self, rows, cols)
 
-        monkeypatch.setattr(AdjacencyArrays, "pair_weights", spy)
-        got = kernels.count_exact_batched(hypergraph.csr(), adjacency)
+        monkeypatch.setattr(ProjectedGraph, "pair_weights", spy)
+        got = kernels.count_exact_batched(hypergraph.csr(), projection)
         assert np.array_equal(got, count_exact_reference(hypergraph).to_array())
         # A chunk holds whole rows of the hub's upper triangle, so one row
         # longer than the chunk comes alone: at most d_max - 1 pairs.
-        max_degree = int(np.diff(adjacency.ptr).max())
+        max_degree = int(np.diff(projection.ptr).max())
         assert batches
         assert max(batches) <= max(7, max_degree - 1)
 
     def test_containing_counts_invariant_under_block_geometry(
         self, graph, monkeypatch
     ):
-        hypergraph, projection, adjacency = graph
+        hypergraph, projection = graph
         anchors = list(range(0, hypergraph.num_hyperedges, 2)) * 2  # duplicates
         want = count_containing_reference(
             hypergraph, project_reference(hypergraph), anchors
         ).to_array()
         monkeypatch.setattr(kernels, "_BLOCK_PAIR_BUDGET", 8)
         monkeypatch.setattr(kernels, "_ANCHOR_BLOCK", 3)
-        got = kernels.count_containing_batched(hypergraph.csr(), adjacency, anchors)
+        got = kernels.count_containing_batched(hypergraph.csr(), projection, anchors)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -212,7 +209,7 @@ class TestBlockBoundaries:
     def test_wedge_counts_invariant_under_block_geometry(
         self, graph, monkeypatch, case
     ):
-        hypergraph, projection, adjacency = graph
+        hypergraph, projection = graph
         reference_projection = project_reference(hypergraph)
         wedges = projection.hyperwedge_list()
         degrees = projection.degrees()
@@ -241,7 +238,7 @@ class TestBlockBoundaries:
         ).to_array()
         monkeypatch.setattr(kernels, "_BLOCK_PAIR_BUDGET", budget)
         monkeypatch.setattr(kernels, "_ANCHOR_BLOCK", block)
-        got = kernels.count_wedges_batched(hypergraph.csr(), adjacency, wedges)
+        got = kernels.count_wedges_batched(hypergraph.csr(), projection, wedges)
         assert np.array_equal(got, want)
 
         # Invalid wedges fail like the reference: (i, i) has a negative
@@ -258,7 +255,7 @@ class TestBlockBoundaries:
         ):
             for count in (
                 lambda w: count_wedges_reference(hypergraph, reference_projection, w),
-                lambda w: kernels.count_wedges_batched(hypergraph.csr(), adjacency, w),
+                lambda w: kernels.count_wedges_batched(hypergraph.csr(), projection, w),
             ):
                 with pytest.raises(MotifError) as raised:
                     count(wedges[:2] + [bad])
@@ -270,13 +267,13 @@ class TestLazySourceThroughKernels:
 
     @pytest.mark.parametrize("budget", [None, 0, 1, 5])
     def test_exact_parity(self, graph, budget):
-        hypergraph, _, _ = graph
+        hypergraph, _ = graph
         lazy = LazyProjection(hypergraph, budget=budget, policy="lru")
         got = kernels.count_exact_batched(hypergraph.csr(), lazy)
         assert np.array_equal(got, count_exact_reference(hypergraph).to_array())
 
     def test_containing_parity(self, graph):
-        hypergraph, _, _ = graph
+        hypergraph, _ = graph
         anchors = [0, 3, 3, 7, 11]
         lazy = LazyProjection(hypergraph, budget=4)
         got = kernels.count_containing_batched(hypergraph.csr(), lazy, anchors)
@@ -286,7 +283,7 @@ class TestLazySourceThroughKernels:
         assert np.array_equal(got, want)
 
     def test_wedge_parity(self, graph):
-        hypergraph, projection, _ = graph
+        hypergraph, projection = graph
         wedges = projection.hyperwedge_list()[:40]
         lazy = LazyProjection(hypergraph, budget=4)
         got = kernels.count_wedges_batched(hypergraph.csr(), lazy, wedges)

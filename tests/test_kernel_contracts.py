@@ -17,18 +17,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.counting.classification import fast_adjacency
 from repro.exceptions import ProjectionError
 from repro.fastcore.kernels import (
     count_containing_batched,
     count_exact_batched,
     count_wedges_batched,
 )
-from repro.fastcore.projection import AdjacencyArrays, upper_row_starts
+from repro.fastcore.projection import upper_row_starts
 from repro.generators import generate_uniform_random
 from repro.motifs import motif_is_closed
 from repro.motifs.patterns import NUM_MOTIFS
-from repro.projection import project
+from repro.projection import ProjectedGraph, project
 
 SHAPES = {
     "sparse": dict(num_nodes=40, num_hyperedges=30, mean_size=2.5, max_size=5, seed=3),
@@ -45,8 +44,7 @@ WEDGES_PER_INSTANCE = np.array(
 
 def _build(shape):
     hypergraph = generate_uniform_random(**SHAPES[shape])
-    projection = project(hypergraph)
-    return hypergraph, projection, fast_adjacency(projection)
+    return hypergraph, project(hypergraph)
 
 
 @pytest.fixture(params=sorted(SHAPES))
@@ -61,46 +59,46 @@ def dense():
 
 class TestCountingIdentities:
     def test_every_edge_anchor_sees_each_instance_three_times(self, graph):
-        hypergraph, _, adjacency = graph
+        hypergraph, projection = graph
         csr = hypergraph.csr()
-        exact = count_exact_batched(csr, adjacency)
+        exact = count_exact_batched(csr, projection)
         containing = count_containing_batched(
-            csr, adjacency, range(hypergraph.num_hyperedges)
+            csr, projection, range(hypergraph.num_hyperedges)
         )
         assert exact.sum() > 0
         assert np.array_equal(containing, 3 * exact)
 
     def test_every_hyperwedge_sees_each_instance_once_per_wedge(self, graph):
-        hypergraph, projection, adjacency = graph
+        hypergraph, projection = graph
         csr = hypergraph.csr()
-        exact = count_exact_batched(csr, adjacency)
-        wedges = count_wedges_batched(csr, adjacency, projection.hyperwedge_list())
+        exact = count_exact_batched(csr, projection)
+        wedges = count_wedges_batched(csr, projection, projection.hyperwedge_list())
         assert np.array_equal(wedges, WEDGES_PER_INSTANCE * exact)
 
     def test_exact_is_additive_over_anchor_partitions(self, graph):
-        hypergraph, _, adjacency = graph
+        hypergraph, projection = graph
         csr = hypergraph.csr()
         anchors = np.arange(hypergraph.num_hyperedges)
         parts = [
-            count_exact_batched(csr, adjacency, anchors[anchors % 3 == r])
+            count_exact_batched(csr, projection, anchors[anchors % 3 == r])
             for r in range(3)
         ]
-        assert np.array_equal(sum(parts), count_exact_batched(csr, adjacency))
+        assert np.array_equal(sum(parts), count_exact_batched(csr, projection))
 
     def test_exact_looks_up_only_pairs_above_the_diagonal(self, graph, monkeypatch):
         """Pairs ``{e_j, e_k}`` of ``N_{e_i}`` with ``i < j < k`` alone need
         ``ω(∧_jk)``: the rest are counted from per-row histograms."""
-        hypergraph, _, adjacency = graph
+        hypergraph, projection = graph
         looked_up = []
-        lookup = AdjacencyArrays.pair_weights
+        lookup = ProjectedGraph.pair_weights
 
         def spy(self, rows, cols):
             looked_up.append(len(rows))
             return lookup(self, rows, cols)
 
-        monkeypatch.setattr(AdjacencyArrays, "pair_weights", spy)
-        count_exact_batched(hypergraph.csr(), adjacency)
-        upper = adjacency.ptr[1:] - upper_row_starts(adjacency.ptr, adjacency.idx)
+        monkeypatch.setattr(ProjectedGraph, "pair_weights", spy)
+        count_exact_batched(hypergraph.csr(), projection)
+        upper = projection.ptr[1:] - upper_row_starts(projection.ptr, projection.idx)
         assert sum(looked_up) <= int((upper * (upper - 1) // 2).sum())
 
 
@@ -118,16 +116,16 @@ class TestInputContracts:
         ids=["int32-array", "generator"],
     )
     def test_anchor_containers_are_interchangeable(self, dense, wrap):
-        hypergraph, _, adjacency = dense
+        hypergraph, projection = dense
         csr = hypergraph.csr()
         anchors = list(range(0, hypergraph.num_hyperedges, 2))
         for name, count in ANCHOR_KERNELS.items():
-            want = count(csr, adjacency, anchors)
-            got = count(csr, adjacency, wrap(anchors))
+            want = count(csr, projection, anchors)
+            got = count(csr, projection, wrap(anchors))
             assert np.array_equal(got, want), name
 
     def test_anchor_order_is_irrelevant(self, dense):
-        hypergraph, _, adjacency = dense
+        hypergraph, projection = dense
         csr = hypergraph.csr()
         anchors = np.arange(hypergraph.num_hyperedges)
         rng = np.random.default_rng(0)
@@ -135,39 +133,39 @@ class TestInputContracts:
             for subset in (anchors, anchors[::2]):
                 shuffled = rng.permutation(subset)
                 assert np.array_equal(
-                    count(csr, adjacency, shuffled), count(csr, adjacency, subset)
+                    count(csr, projection, shuffled), count(csr, projection, subset)
                 ), name
 
     @pytest.mark.parametrize(
         "count",
         [
-            lambda csr, adjacency: count_exact_batched(csr, adjacency, []),
-            lambda csr, adjacency: count_containing_batched(csr, adjacency, []),
-            lambda csr, adjacency: count_wedges_batched(csr, adjacency, []),
+            lambda csr, projection: count_exact_batched(csr, projection, []),
+            lambda csr, projection: count_containing_batched(csr, projection, []),
+            lambda csr, projection: count_wedges_batched(csr, projection, []),
         ],
         ids=["exact", "containing", "wedges"],
     )
     def test_empty_input_counts_nothing(self, dense, count):
-        hypergraph, _, adjacency = dense
-        got = count(hypergraph.csr(), adjacency)
+        hypergraph, projection = dense
+        got = count(hypergraph.csr(), projection)
         assert np.array_equal(got, np.zeros(NUM_MOTIFS))
 
     @pytest.mark.parametrize("where", ["negative", "past-the-end"])
     @pytest.mark.parametrize(
         "count",
         [
-            lambda csr, adjacency, bad: count_exact_batched(csr, adjacency, [0, bad]),
-            lambda csr, adjacency, bad: count_containing_batched(
-                csr, adjacency, [0, bad]
+            lambda csr, projection, bad: count_exact_batched(csr, projection, [0, bad]),
+            lambda csr, projection, bad: count_containing_batched(
+                csr, projection, [0, bad]
             ),
-            lambda csr, adjacency, bad: count_wedges_batched(
-                csr, adjacency, [(0, bad)]
+            lambda csr, projection, bad: count_wedges_batched(
+                csr, projection, [(0, bad)]
             ),
         ],
         ids=["exact", "containing", "wedges"],
     )
     def test_out_of_range_ids_are_rejected(self, dense, count, where):
-        hypergraph, _, adjacency = dense
+        hypergraph, projection = dense
         bad = -1 if where == "negative" else hypergraph.num_hyperedges
         with pytest.raises(ProjectionError, match=f"vertex {bad} out of range"):
-            count(hypergraph.csr(), adjacency, bad)
+            count(hypergraph.csr(), projection, bad)

@@ -2,33 +2,49 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
+from repro.api import registry
+from repro.counting import count_approx_wedge_sampling, count_exact
 from repro.exceptions import ProjectionError
+from repro.fastcore.reference import projected_graph_from_mapping
 from repro.hypergraph import Hypergraph
-from repro.projection import ProjectedGraph, neighborhood_of, project
+from repro.projection import LazyProjection, ProjectedGraph, neighborhood_of, project
 from tests.conftest import node_range_partials, project_by_node_ranges
 
 
 class TestProjectedGraphContainer:
     def test_validation_rejects_asymmetry(self):
         with pytest.raises(ProjectionError):
-            ProjectedGraph(2, {0: {1: 1}})
+            projected_graph_from_mapping(2, {0: {1: 1}})
 
     def test_validation_rejects_self_loops(self):
         with pytest.raises(ProjectionError):
-            ProjectedGraph(2, {0: {0: 1}})
+            projected_graph_from_mapping(2, {0: {0: 1}})
 
     def test_validation_rejects_bad_weights(self):
         with pytest.raises(ProjectionError):
-            ProjectedGraph(2, {0: {1: 0}, 1: {0: 0}})
+            projected_graph_from_mapping(2, {0: {1: 0}, 1: {0: 0}})
 
     def test_validation_rejects_out_of_range_vertices(self):
         with pytest.raises(ProjectionError):
-            ProjectedGraph(2, {0: {5: 1}, 5: {0: 1}})
+            projected_graph_from_mapping(2, {0: {5: 1}, 5: {0: 1}})
+
+    def test_csr_constructor_checks_shapes(self):
+        ptr = np.zeros(3, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int32)
+        with pytest.raises(ProjectionError, match="non-negative"):
+            ProjectedGraph(-1, ptr, empty, empty)
+        with pytest.raises(ProjectionError, match="malformed"):
+            ProjectedGraph(3, ptr, empty, empty)
+        with pytest.raises(ProjectionError, match="malformed"):
+            ProjectedGraph(2, ptr, np.zeros(1, dtype=np.int32), empty)
 
     def test_empty_graph(self):
-        graph = ProjectedGraph(3, {})
+        graph = projected_graph_from_mapping(3, {})
         assert graph.num_hyperwedges == 0
         assert graph.degree(0) == 0
         assert graph.neighbors(2) == {}
@@ -108,3 +124,63 @@ class TestNodeRangeMerge:
         assert merged.overlap(0, 1) == 2
         assert merged == project(hypergraph)
 
+
+
+PROVIDERS = {
+    "full": project,
+    "lazy-budget-0": lambda hypergraph: LazyProjection(hypergraph, budget=0),
+    "lazy-budget-2": lambda hypergraph: LazyProjection(hypergraph, budget=2),
+    "lazy-unbounded": lambda hypergraph: LazyProjection(hypergraph, budget=None),
+}
+
+
+@pytest.fixture(scope="module")
+def contact():
+    return registry.load("contact-primary-like")
+
+
+class TestProviderParity:
+    """Both providers share their row accessors, so they refuse alike."""
+
+    @pytest.mark.parametrize("bad", ["negative", "num-hyperedges", "huge"])
+    @pytest.mark.parametrize("provider", sorted(PROVIDERS))
+    def test_out_of_range_vertex_raises_projection_error(
+        self, contact, provider, bad
+    ):
+        projection = PROVIDERS[provider](contact)
+        vertex = {"negative": -1, "num-hyperedges": contact.num_hyperedges}.get(
+            bad, 10**6
+        )
+        message = f"vertex {vertex} out of range"
+        for call in (
+            lambda: projection.neighbors(vertex),
+            lambda: projection.neighbor_indices(vertex),
+            lambda: projection.overlap(0, vertex),
+            lambda: projection.overlap(vertex, 0),
+        ):
+            with pytest.raises(ProjectionError, match=message):
+                call()
+
+
+class TestPickle:
+    def test_pickle_drops_both_caches_and_counts_identically(self, contact):
+        projection = project(contact)
+        projection.pair_weights(np.array([0, 1]), np.array([1, 2]))
+        projection.hyperwedges_at([0, 5])
+        assert projection._keys is not None
+        assert projection._wedge_offsets is not None
+
+        payload = pickle.dumps(projection)
+        # The payload holds the three CSR arrays and nothing else: it is the
+        # same as a fresh projection's, whose caches were never built.
+        assert payload == pickle.dumps(project(contact))
+        restored = pickle.loads(payload)
+        assert restored._keys is None
+        assert restored._wedge_offsets is None
+        assert restored == projection
+
+        exact = count_exact(contact, projection).to_array().tolist()
+        assert count_exact(contact, restored).to_array().tolist() == exact
+        sampled = count_approx_wedge_sampling(contact, 200, projection, seed=4)
+        again = count_approx_wedge_sampling(contact, 200, restored, seed=4)
+        assert again.to_array().tolist() == sampled.to_array().tolist()

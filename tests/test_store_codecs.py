@@ -150,11 +150,7 @@ class TestProjectionRoundTrip:
             arrays, meta, hypergraph.num_hyperedges
         )
         assert decoded is not None
-        original = projection.adjacency_arrays()
-        restored = decoded.adjacency_arrays()
-        assert np.array_equal(restored.ptr, original.ptr)
-        assert np.array_equal(restored.idx, original.idx)
-        assert np.array_equal(restored.weight, original.weight)
+        assert decoded == projection
         assert decoded.hyperwedge_list() == projection.hyperwedge_list()
 
     def test_vertex_count_mismatch_is_a_miss(self):
